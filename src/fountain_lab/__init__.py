@@ -36,13 +36,11 @@ from .schemes import (
 from .sim import (
     AggregateResult,
     SessionResult,
-    ber_curve,
-    feedback_count,
     monte_carlo,
     run_session,
     sweep_epsilon,
 )
-from .wire import TransferFailed, TransferReport, decode_frame, encode_data, transfer, transfer_file
+from .wire import TransferFailed, TransferReport, decode_frame, encode_data, transfer
 
 __version__ = "0.1.0"
 
@@ -69,9 +67,7 @@ __all__ = [
     "ProtocolError",
     "run_session",
     "monte_carlo",
-    "ber_curve",
     "sweep_epsilon",
-    "feedback_count",
     "SessionResult",
     "AggregateResult",
     "DEGREE_AT_HALF",
@@ -87,7 +83,6 @@ __all__ = [
     "encode_data",
     "decode_frame",
     "transfer",
-    "transfer_file",
     "TransferReport",
     "TransferFailed",
 ]

@@ -55,9 +55,13 @@ class ErasureChannel:
         self._mask = np.zeros(0, dtype=bool)
 
     def _extend(self, upto: int) -> None:
-        while len(self._mask) <= upto:
-            block = self._gen.random(_BLOCK) >= self.epsilon
-            self._mask = np.concatenate([self._mask, block])
+        if upto < len(self._mask):
+            return
+        # At least double the mask, so a run of n slots copies O(n) in total.
+        have = len(self._mask) // _BLOCK
+        need = max(upto // _BLOCK + 1, 2 * have)
+        blocks = [self._gen.random(_BLOCK) >= self.epsilon for _ in range(need - have)]
+        self._mask = np.concatenate([self._mask, *blocks])
 
     def deliver(self, slot: int) -> bool:
         """True when the symbol sent in ``slot`` reaches the receiver."""

@@ -15,15 +15,12 @@ without-replacement probabilities for validation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 __all__ = [
-    "DegreeEval",
     "case1_prob",
     "case2_prob",
     "useful_prob",
-    "evaluate",
     "optimal_degree",
     "completion_prob",
     "exact_case_probs",
@@ -49,23 +46,6 @@ def case2_prob(m: int, beta: float) -> float:
 def useful_prob(m: int, beta: float) -> float:
     """Probability that a degree-m symbol is immediately usable (case 1 or 2)."""
     return case1_prob(m, beta) + case2_prob(m, beta)
-
-
-@dataclass(frozen=True)
-class DegreeEval:
-    """Case probabilities of one candidate degree at recovery fraction beta."""
-
-    m: int
-    p1: float
-    p2: float
-
-    @property
-    def total(self) -> float:
-        return self.p1 + self.p2
-
-
-def evaluate(m: int, beta: float) -> DegreeEval:
-    return DegreeEval(m, case1_prob(m, beta), case2_prob(m, beta))
 
 
 @lru_cache(maxsize=None)

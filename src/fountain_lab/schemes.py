@@ -176,7 +176,6 @@ class Encoder:
             self.phase = Phase.SYSTEMATIC
         self.known_recovered = 0
         self.current_m = 2 if isinstance(config, OFC) else 1
-        self.sent_count = 0
         self.phase_sent: dict[str, int] = {}
         self._next_index = 0
 
@@ -186,7 +185,6 @@ class Encoder:
 
     def _emit(self, indices: tuple[int, ...]) -> CodedSymbol:
         payload = self.source.encode(indices) if self.payload_mode == "full" else None
-        self.sent_count += 1
         label = self.phase.value
         self.phase_sent[label] = self.phase_sent.get(label, 0) + 1
         return CodedSymbol(indices, payload)

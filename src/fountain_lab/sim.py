@@ -1,10 +1,11 @@
 """Session driver, Monte Carlo aggregation, BER curves, erasure-rate sweeps.
 
-One session wires encoder -> erasure channel -> decoder -> feedback loop and
-records a trace of (sent, received, recovered) at every recovery increment
-and every feedback message.  Trials are fully determined by (master seed,
-trial id), so aggregation is identical at any parallelism level: workers are
-mapped by trial id and merged in trial order.
+One session loop wires encoder -> erasure channel -> decoder -> feedback over
+a link (in memory here, bit-exact frames in :mod:`wire`) and records a trace
+of (sent, received, recovered) at every recovery increment and every
+feedback message.  Trials are fully determined by (master seed, trial id),
+so aggregation is identical at any parallelism level: workers are mapped by
+trial id and merged in trial order.
 """
 
 from __future__ import annotations
@@ -12,19 +13,21 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ErasureChannel, source_seed
-from .graph import SourceBlock
+from .graph import CodedSymbol, SourceBlock
 from .schemes import (
     Encoder,
     EveryDegreeChange,
-    FeedbackKind,
+    FeedbackMsg,
     FeedbackPolicy,
     OFCNB,
+    Phase,
     Receiver,
     SchemeConfig,
     Threshold,
@@ -37,10 +40,8 @@ __all__ = [
     "AggregateResult",
     "run_session",
     "monte_carlo",
-    "feedback_count",
     "recovered_at_sent",
     "ber_from_results",
-    "ber_curve",
     "sweep_epsilon",
     "SweepPoint",
     "SweepResult",
@@ -83,6 +84,70 @@ def policy_label(policy: FeedbackPolicy) -> str:
     return "every"
 
 
+class _ObjectLink:
+    """In-memory link: symbols and feedback pass through unchanged."""
+
+    def send(self, sym: CodedSymbol, slot: int) -> tuple[CodedSymbol, int]:
+        return sym, slot
+
+    def receive(self, carried: tuple[CodedSymbol, int]) -> tuple[CodedSymbol, int]:
+        return carried
+
+    def feedback(self, msg: FeedbackMsg) -> FeedbackMsg:
+        return msg
+
+
+def _drive(
+    enc: Encoder,
+    rcv: Receiver,
+    chan: ErasureChannel,
+    budget: int,
+    link,
+    sent: int = 0,
+    feedback_delay: int = 0,
+) -> tuple[int, int, list[TracePoint], int]:
+    """The session loop: encoder -> link -> channel -> receiver -> feedback.
+
+    ``link`` carries each transmitted symbol (``send`` before the channel,
+    ``receive`` after a delivery) and each feedback message (``feedback``).
+    ``sent`` starts the transmitted count at frames already spent on setup;
+    channel slots count from 0.  Feedback reaches the encoder
+    ``feedback_delay`` transmissions after it is emitted.  Stops at COMPLETE
+    or when ``budget`` transmissions are spent.
+
+    Returns (sent, received, trace, feedback emitted when 80% of the source
+    was first recovered).
+    """
+    trace: list[TracePoint] = []
+    pending: deque[tuple[int, FeedbackMsg]] = deque()   # (deliverable_at_sent, msg)
+    received = slot = 0
+    fb_at_08 = None
+    threshold_08 = math.ceil(0.8 * rcv.k)
+    while sent < budget:
+        while pending and pending[0][0] <= sent:
+            enc.on_feedback(pending.popleft()[1])
+        if enc.phase is Phase.DONE:
+            break
+        carried = link.send(enc.next_symbol(), slot)
+        delivered = chan.deliver(slot)
+        slot += 1
+        sent += 1
+        if not delivered:
+            continue
+        received += 1
+        before = rcv.recovered
+        sym, seq = link.receive(carried)
+        msg = rcv.receive(sym, seq=seq)
+        if rcv.recovered > before:
+            trace.append(TracePoint(sent, received, rcv.recovered))
+            if fb_at_08 is None and rcv.recovered >= threshold_08:
+                fb_at_08 = rcv.feedback_sent
+        if msg is not None:
+            trace.append(TracePoint(sent, received, rcv.recovered, event=msg.kind.name.lower()))
+            pending.append((sent + feedback_delay, link.feedback(msg)))
+    return sent, received, trace, fb_at_08 or 0
+
+
 def run_session(
     config: SchemeConfig,
     k: int,
@@ -116,44 +181,9 @@ def run_session(
     enc = Encoder(config, source, seed=seed, trial_id=trial_id, payload_mode=payload_mode)
     rcv = Receiver(k, config, policy, track_values=(payload_mode == "full"))
     chan = ErasureChannel(eps, seed=seed, trial_id=trial_id)
-
-    trace: list[TracePoint] = []
-    pending: list[tuple[int, object]] = []   # (deliverable_at_sent, msg)
-    sent = received = 0
-    fb_total = 0
-    sent_at_08 = None
-    threshold_08 = math.ceil(0.8 * k)
-    done = False
-
-    while not done and sent < budget:
-        while pending and pending[0][0] <= sent:
-            _, msg = pending.pop(0)
-            enc.on_feedback(msg)  # type: ignore[arg-type]
-            if msg.kind is FeedbackKind.COMPLETE:  # type: ignore[union-attr]
-                done = True
-        if done:
-            break
-        sym = enc.next_symbol()
-        slot = sent
-        sent += 1
-        if not chan.deliver(slot):
-            continue
-        received += 1
-        before = rcv.recovered
-        msg = rcv.receive(sym, seq=slot)
-        if rcv.recovered > before:
-            trace.append(TracePoint(sent, received, rcv.recovered))
-            if sent_at_08 is None and rcv.recovered >= threshold_08:
-                sent_at_08 = sent
-        if msg is not None:
-            fb_total += 1
-            trace.append(TracePoint(sent, received, rcv.recovered, event=msg.kind.name.lower()))
-            if feedback_delay <= 0:
-                enc.on_feedback(msg)
-                if msg.kind is FeedbackKind.COMPLETE:
-                    done = True
-            else:
-                pending.append((sent + feedback_delay, msg))
+    sent, received, trace, fb_at_08 = _drive(
+        enc, rcv, chan, budget, _ObjectLink(), feedback_delay=feedback_delay
+    )
 
     complete = rcv.complete
     if payload_mode == "full" and complete:
@@ -161,9 +191,6 @@ def run_session(
         for i in range(k):
             if got[i] != source.symbols[i]:
                 raise AssertionError(f"recovered payload mismatch at index {i}")
-    fb_at_08 = sum(
-        1 for p in trace if p.event is not None and sent_at_08 is not None and p.sent <= sent_at_08
-    )
     return SessionResult(
         scheme=scheme_name(config),
         k=k,
@@ -174,14 +201,9 @@ def run_session(
         received_total=received,
         full_recovery_sent=sent if complete else None,
         budget_exceeded=not complete,
-        feedback_total=fb_total,
+        feedback_total=rcv.feedback_sent,
         feedback_at_beta08=fb_at_08,
     )
-
-
-def feedback_count(result: SessionResult) -> int:
-    """Number of feedback messages in a session trace (all kinds counted)."""
-    return sum(1 for p in result.trace if p.event is not None)
 
 
 def _recovery_arrays(result: SessionResult) -> tuple[np.ndarray, np.ndarray]:
@@ -317,23 +339,6 @@ def ber_from_results(results: list[SessionResult], k: int, overhead_grid) -> lis
         missing = [(k - recovered_at_sent(r, n_sent)) / k for r in results]
         out.append((float(o), float(np.mean(missing))))
     return out
-
-
-def ber_curve(
-    config: SchemeConfig,
-    k: int,
-    eps: float,
-    overhead_grid,
-    trials: int,
-    policy: FeedbackPolicy = EveryDegreeChange(),
-    seed: int = 0,
-    budget: int | None = None,
-) -> list[tuple[float, float]]:
-    results = [
-        run_session(config, k, eps, policy=policy, seed=seed, trial_id=t, budget=budget)
-        for t in range(trials)
-    ]
-    return ber_from_results(results, k, overhead_grid)
 
 
 @dataclass(frozen=True)

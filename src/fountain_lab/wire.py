@@ -22,10 +22,12 @@ encoder's choices state-dependent; the receiver could not re-derive them.
 ``seq_no`` is the transmission slot, which lets the systematic scheme's
 receiver notice the end of the index pass even when tail frames are erased.
 
-The transfer loop runs sender and receiver as two tasks joined by in-process
-queues; the erasure channel decides data-frame delivery before enqueueing.
-Feedback frames and the session header travel on the control path, which is
-lossless per the channel model.
+:func:`transfer` runs the simulator's session loop over a framed link: each
+data symbol is encoded into a frame before the erasure channel decides its
+delivery, each delivered frame is decoded back into a symbol, and each
+feedback message makes the round trip through a feedback frame.  Feedback
+frames and the session header travel on the control path, which is lossless
+per the channel model.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from __future__ import annotations
 import math
 import struct
 import zlib
-from collections import deque
 from dataclasses import dataclass, field
 
 from .channel import ErasureChannel
@@ -48,7 +49,7 @@ from .schemes import (
     SchemeConfig,
     scheme_name,
 )
-from .sim import DEFAULT_BUDGET_FACTOR, TracePoint
+from .sim import DEFAULT_BUDGET_FACTOR, TracePoint, _drive
 
 __all__ = [
     "MAGIC",
@@ -64,7 +65,6 @@ __all__ = [
     "decode_frame",
     "TransferReport",
     "transfer",
-    "transfer_file",
 ]
 
 MAGIC = b"\x4f\x46"
@@ -87,7 +87,8 @@ ERROR_CODES = (
 
 class FrameError(ValueError):
     def __init__(self, code: str, detail: str = ""):
-        assert code in ERROR_CODES
+        if code not in ERROR_CODES:
+            raise ValueError(f"unknown frame error code {code!r}")
         self.code = code
         super().__init__(f"{code}: {detail}" if detail else code)
 
@@ -214,6 +215,31 @@ def _check_crc(buf: bytes) -> None:
 # -- file transfer over the framed link -------------------------------------
 
 
+def _expect(frame, frame_type):
+    if not isinstance(frame, frame_type):
+        got = type(frame).__name__
+        raise FrameError("malformed-frame", f"expected {frame_type.__name__}, got {got}")
+    return frame
+
+
+class _FramedLink:
+    """Carries symbols and feedback as frames through encode and decode."""
+
+    def __init__(self, session_id: int):
+        self.session_id = session_id
+
+    def send(self, sym: CodedSymbol, slot: int) -> bytes:
+        return encode_data(sym, self.session_id, slot)
+
+    def receive(self, frame: bytes) -> tuple[CodedSymbol, int]:
+        parsed = _expect(decode_frame(frame), DataFrame)
+        return CodedSymbol(parsed.indices, parsed.payload), parsed.seq_no
+
+    def feedback(self, msg: FeedbackMsg) -> FeedbackMsg:
+        fb = _expect(decode_frame(encode_feedback(msg, self.session_id)), FeedbackFrame)
+        return FeedbackMsg(fb.kind, fb.recovered)
+
+
 @dataclass
 class TransferReport:
     scheme: str
@@ -274,48 +300,14 @@ def transfer(
     rcv = Receiver(k, config, policy, track_values=True)
     chan = ErasureChannel(eps, seed=seed, trial_id=trial_id)
 
-    to_receiver: deque[bytes] = deque()
-    to_sender: deque[bytes] = deque()
-    trace: list[TracePoint] = []
-
     # Handshake: the header rides the lossless control path but still counts
     # as one transmitted frame.
     header = SessionHeader(session_id, k, symbol_size, len(data))
-    to_receiver.append(encode_header(header))
-    got = decode_frame(to_receiver.popleft())
-    assert isinstance(got, SessionHeader)
+    _expect(decode_frame(encode_header(header)), SessionHeader)
     header_attempts = 1
-
-    frames_sent = header_attempts
-    delivered = 0
-    fb_frames = 0
-    slot = 0
-    done = False
-    while not done and frames_sent < budget:
-        frame = encode_data(enc.next_symbol(), session_id, slot)
-        frames_sent += 1
-        if chan.deliver(slot):
-            to_receiver.append(frame)
-        slot += 1
-        while to_receiver:
-            parsed = decode_frame(to_receiver.popleft())
-            assert isinstance(parsed, DataFrame)
-            delivered += 1
-            sym = CodedSymbol(parsed.indices, bytes(parsed.payload))
-            before = rcv.recovered
-            msg = rcv.receive(sym, seq=parsed.seq_no)
-            if rcv.recovered > before:
-                trace.append(TracePoint(frames_sent, delivered, rcv.recovered))
-            if msg is not None:
-                fb_frames += 1
-                trace.append(TracePoint(frames_sent, delivered, rcv.recovered, event=msg.kind.name.lower()))
-                to_sender.append(encode_feedback(msg, session_id))
-        while to_sender:
-            fb = decode_frame(to_sender.popleft())
-            assert isinstance(fb, FeedbackFrame)
-            enc.on_feedback(FeedbackMsg(fb.kind, fb.recovered))
-            if fb.kind is FeedbackKind.COMPLETE:
-                done = True
+    frames_sent, delivered, trace, _ = _drive(
+        enc, rcv, chan, budget, _FramedLink(session_id), sent=header_attempts
+    )
 
     report = TransferReport(
         scheme=scheme_name(config),
@@ -326,7 +318,7 @@ def transfer(
         frames_sent=frames_sent,
         frames_delivered=delivered,
         header_attempts=header_attempts,
-        feedback_frames=fb_frames,
+        feedback_frames=rcv.feedback_sent,
         per_phase_sent=dict(enc.phase_sent),
         complete=rcv.complete,
         trace=trace,
@@ -336,24 +328,3 @@ def transfer(
     payloads = rcv.recovered_payloads()
     out = b"".join(payloads)[: len(data)]  # type: ignore[arg-type]
     return out, report
-
-
-def transfer_file(
-    path_in: str,
-    config: SchemeConfig,
-    eps: float,
-    seed: int = 0,
-    symbol_size: int = 1024,
-    path_out: str | None = None,
-    policy: FeedbackPolicy = EveryDegreeChange(),
-) -> TransferReport:
-    """Transfer a file through the lossy link, optionally writing the output."""
-    with open(path_in, "rb") as fh:
-        data = fh.read()
-    out, report = transfer(data, config, eps, seed=seed, symbol_size=symbol_size, policy=policy)
-    if out != data:
-        raise AssertionError("reconstructed bytes differ from the input")
-    if path_out is not None:
-        with open(path_out, "wb") as fh:
-            fh.write(out)
-    return report

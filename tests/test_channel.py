@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -29,6 +30,24 @@ def test_outcome_is_pure_function_of_coordinates():
     assert a.deliver(17) == a.deliver(17)
     fresh = ErasureChannel(0.3, seed=9, trial_id=4)
     assert fresh.deliver(17) == a.deliver(17)
+
+
+# SHA-256 of np.packbits(deliver_mask(3 * 8192 + 17)) for (0.3, seed 9, trial 4)
+# and the outcomes around the 8192-slot block boundaries, frozen
+GOLDEN_MASK_SHA256 = "fb627836132b3cdbd33e215525439950e250b39f8a02621fd5d2c40fa7201155"
+GOLDEN_BOUNDARY = {
+    8191: True, 8192: True, 8193: True, 16383: True,
+    16384: False, 24575: True, 24576: False, 24592: True,
+}
+
+
+def test_stream_is_frozen_across_block_boundaries():
+    mask = ErasureChannel(0.3, seed=9, trial_id=4).deliver_mask(3 * 8192 + 17)
+    assert hashlib.sha256(np.packbits(mask).tobytes()).hexdigest() == GOLDEN_MASK_SHA256
+    for order in (sorted, lambda s: sorted(s, reverse=True)):
+        ch = ErasureChannel(0.3, seed=9, trial_id=4)
+        for slot in order(GOLDEN_BOUNDARY):
+            assert ch.deliver(slot) == GOLDEN_BOUNDARY[slot] == mask[slot]
 
 
 def test_trials_are_distinct_streams():

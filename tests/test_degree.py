@@ -7,7 +7,6 @@ from fountain_lab.degree import (
     case1_prob,
     case2_prob,
     completion_prob,
-    evaluate,
     exact_case_probs,
     optimal_degree,
     useful_prob,
@@ -35,12 +34,6 @@ def test_case2_values():
     assert case2_prob(1, 0.3) == 0.0
     assert case2_prob(2, 0.5) == pytest.approx(0.25)
     assert case2_prob(2, 0.0) == 1.0
-
-
-def test_evaluate_totals():
-    ev = evaluate(3, 0.6)
-    assert ev.total == pytest.approx(0.72)
-    assert 0.0 <= ev.p1 and 0.0 <= ev.p2 and ev.total <= 1.0
 
 
 def test_optimal_degree_anchor_points():

@@ -10,7 +10,6 @@ from fountain_lab.sim import (
     TracePoint,
     aggregate_csv,
     ber_from_results,
-    feedback_count,
     milestone_grid,
     monte_carlo,
     recovered_at_sent,
@@ -109,7 +108,6 @@ def test_sent_at_milestones_and_recovered_at_sent():
     assert recovered_at_sent(r, 5) == 2
     assert recovered_at_sent(r, 8) == 3
     assert recovered_at_sent(r, 100) == 10
-    assert feedback_count(r) == 2
 
 
 def test_ber_zero_overhead_is_one():

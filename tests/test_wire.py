@@ -11,6 +11,7 @@ from fountain_lab.wire import (
     FrameError,
     SessionHeader,
     TransferFailed,
+    _FramedLink,
     decode_frame,
     encode_data,
     encode_feedback,
@@ -97,6 +98,20 @@ def test_decode_rejects_unsorted_indices():
     buf = body + struct.pack(">I", zlib.crc32(body))
     with pytest.raises(FrameError) as e:
         decode_frame(buf)
+    assert e.value.code == "malformed-frame"
+
+
+def test_frame_error_rejects_unknown_code():
+    with pytest.raises(ValueError):
+        FrameError("no-such-code")
+
+
+def test_framed_link_rejects_wrong_frame_type():
+    link = _FramedLink(1)
+    sym, seq = link.receive(bytes.fromhex(GOLDEN_DATA_HEX))
+    assert (sym.indices, sym.payload, seq) == ((0,), bytes.fromhex("aabbccdd"), 0)
+    with pytest.raises(FrameError) as e:
+        link.receive(encode_feedback(FeedbackMsg(FeedbackKind.BETA_UPDATE, 3), 1))
     assert e.value.code == "malformed-frame"
 
 

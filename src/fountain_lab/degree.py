@@ -15,7 +15,6 @@ without-replacement probabilities for validation.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 __all__ = [
     "case1_prob",
@@ -48,44 +47,36 @@ def useful_prob(m: int, beta: float) -> float:
     return case1_prob(m, beta) + case2_prob(m, beta)
 
 
-@lru_cache(maxsize=None)
 def optimal_degree(beta: float, k: int | None = None) -> int:
     """Degree maximizing the immediately-usable probability at recovery fraction beta.
 
-    Scans m = 1, 2, ... exploiting unimodality of the objective: the scan
-    stops once the objective has stayed strictly below the best value for
-    three consecutive degrees.  Ties break toward the larger degree.  When
-    ``k`` is given the degree is capped at k (a symbol cannot reference more
-    than k distinct sources); supply it whenever beta approaches 1.
+    Closed form: with x = 1 - beta, one more degree does not hurt,
+    ``useful_prob(m + 1, beta) >= useful_prob(m, beta)``, exactly when
+    (m + 1)(m - 2)x^2 + 4x - 2 <= 0, i.e. when m <= M with
+    M = 1/2 + sqrt(9x^2 - 16x + 8) / (2x).  The objective is unimodal, so the
+    optimum is floor(M) + 1; ties break toward the larger degree.  Exact ties
+    (integer M, e.g. beta = 1/2, 6/7, 35/36) are settled by comparing the two
+    degrees directly, since a float square root can land on either side of
+    the integer.  When ``k`` is given the degree is capped at k (a symbol
+    cannot reference more than k distinct sources); supply it whenever beta
+    approaches 1.
     """
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must be in [0, 1), got {beta}")
-    best_m = 1
-    best = useful_prob(1, beta)
-    misses = 0
-    m = 1
-    while True:
-        m += 1
-        if k is not None and m > k:
-            break
-        total = useful_prob(m, beta)
-        if total >= best:
-            best, best_m = total, m
-            misses = 0
-        else:
-            misses += 1
-            if misses >= 3:
-                break
-    return best_m
+    x = 1.0 - beta
+    root = 0.5 + 0.5 * math.sqrt(9.0 * x * x - 16.0 * x + 8.0) / x
+    m = math.floor(root) + 1
+    tie = round(root)
+    if abs(root - tie) < 1e-6:
+        m = tie + 1 if useful_prob(tie + 1, beta) >= useful_prob(tie, beta) else tie
+    return m if k is None else min(m, k)
 
 
-@lru_cache(maxsize=None)
 def completion_prob(n: int, k: int) -> float:
     """Probability that a completion-phase symbol is usable, n of k recovered.
 
     Evaluates the case-1/case-2 total at beta = n/k with the optimal degree
-    for that beta.  Cached: analytic curves sum 1/completion_prob over O(k)
-    points and the receiver re-evaluates it after every update.
+    for that beta.
     """
     if not 0 <= n < k:
         raise ValueError(f"need 0 <= n < k, got n={n}, k={k}")

@@ -330,7 +330,9 @@ class Receiver:
                 return self._make(FeedbackKind.BETA_UPDATE)
             return None
         if self._mirror is Phase.COMPLETION:
-            if degree_update_due(self._encoder_m, self.graph.beta(), self.k, self.policy):
+            # beta only moves on a recovery; at an unchanged beta the encoder's
+            # degree was already synced or found not due.
+            if newly and degree_update_due(self._encoder_m, self.graph.beta(), self.k, self.policy):
                 self._sync_degree()
                 return self._make(FeedbackKind.BETA_UPDATE)
         return None

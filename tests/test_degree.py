@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -52,8 +53,39 @@ def test_optimal_degree_objective_values_at_06():
 def test_optimal_degree_matches_brute_force():
     rng = random.Random(11)
     betas = [rng.random() * 0.99 for _ in range(60)] + [0.0, 0.5, 0.25, 0.75, 0.9]
+    # exact ties between two degrees, where a float square root can land on
+    # either side of the integer
+    betas += [0.5, 6000 / 7000, 3500 / 3600, 7344 / 7380, 85716 / 100002]
     for beta in betas:
         assert optimal_degree(beta) == brute_optimal(beta)
+
+
+def one_more_degree_helps(m, beta):
+    """Exact useful_prob(m + 1, beta) >= useful_prob(m, beta), in rationals.
+
+    Equivalent to (m + 1)(m - 2)x^2 + 4x - 2 <= 0 with x = 1 - beta; exact
+    where adjacent float objective values are equal to the last bit.
+    """
+    x = 1 - Fraction(beta)
+    return (m + 1) * (m - 2) * x * x + 4 * x - 2 <= 0
+
+
+def test_step_criterion_matches_objective():
+    for beta in (0.05, 0.3, 0.6, 0.8, 0.95, 0.99):
+        for m in range(1, 60):
+            gain = useful_prob(m + 1, beta) - useful_prob(m, beta)
+            if abs(gain) > 1e-12:
+                assert one_more_degree_helps(m, beta) == (gain > 0), (beta, m)
+
+
+def test_optimal_degree_near_one():
+    # optimal degree grows like sqrt(2)/(1 - beta): a scan would need ~1e9 steps
+    for j in range(2, 10):
+        beta = 1 - 10.0 ** -j
+        m = optimal_degree(beta)
+        assert one_more_degree_helps(m - 1, beta), j
+        assert not one_more_degree_helps(m, beta), j
+    assert optimal_degree(1 - 1e-9, k=10**6) == 10**6
 
 
 def test_optimal_degree_never_one():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fountain_lab.schemes import OFC, OFCNB, SOFC, Threshold
+from fountain_lab.schemes import OFC, OFCNB, SOFC, EveryDegreeChange, Threshold
 from fountain_lab.sim import (
     CSV_HEADER,
     SessionResult,
@@ -68,6 +68,28 @@ def test_feedback_delay_still_completes():
     assert r.full_recovery_sent is not None
     r0 = run_session(OFC(), 200, 0.0, seed=3)
     assert r.full_recovery_sent >= r0.full_recovery_sent - 2
+
+
+# (sent_total, received_total, feedback_total, feedback_at_beta08, len(trace))
+# at k=1000, eps=0.1, seed=3: pins the exact feedback sequence of each
+# scheme under both policies.
+GOLDEN_SESSIONS = {
+    ("ofc", "every"): (1344, 1197, 39, 6, 240),
+    ("ofc", "threshold"): (1322, 1179, 22, 5, 232),
+    ("ofcnb", "every"): (1337, 1191, 39, 6, 328),
+    ("ofcnb", "threshold"): (1331, 1185, 22, 5, 319),
+    ("sofc", "every"): (1181, 1054, 42, 0, 1008),
+    ("sofc", "threshold"): (1180, 1053, 15, 0, 975),
+}
+
+
+@pytest.mark.parametrize("scheme,policy", sorted(GOLDEN_SESSIONS))
+def test_golden_sessions(scheme, policy):
+    config = {"ofc": OFC(), "ofcnb": OFCNB(0.01), "sofc": SOFC()}[scheme]
+    pol = {"every": EveryDegreeChange(), "threshold": Threshold(0.01)}[policy]
+    r = run_session(config, 1000, 0.1, policy=pol, seed=3)
+    got = (r.sent_total, r.received_total, r.feedback_total, r.feedback_at_beta08, len(r.trace))
+    assert got == GOLDEN_SESSIONS[scheme, policy]
 
 
 def test_ofc_dead_zone():

@@ -40,40 +40,39 @@ def source_seed(master_seed: int, trial_id: int) -> int:
 class ErasureChannel:
     """I.i.d. erasures: a slot is delivered with probability 1 - epsilon.
 
-    Outcomes are materialized lazily in blocks from a counter-based Philox
-    stream, so :meth:`deliver` for a given slot returns the same answer no
-    matter when or how often it is asked.
+    Slot outcomes are 8192-slot blocks of a counter-based Philox stream.
+    :meth:`deliver` computes the block holding a slot directly, by advancing
+    a fresh generator past the blocks before it, and keeps only that block:
+    a slot's answer does not depend on when or how often it is asked, and
+    memory stays at one block however far the session runs.
     """
 
     def __init__(self, epsilon: float, seed: int = 0, trial_id: int = 0):
         if not 0.0 <= epsilon < 1.0:
             raise ValueError(f"epsilon must be in [0, 1), got {epsilon}")
         self.epsilon = epsilon
-        self.seed = seed
-        self.trial_id = trial_id
-        self._gen = np.random.Generator(np.random.Philox(_substream(seed, trial_id, _CHANNEL_STREAM)))
-        self._mask = np.zeros(0, dtype=bool)
+        self._stream = _substream(seed, trial_id, _CHANNEL_STREAM)
+        self._block_index = -1
+        self._block = np.zeros(0, dtype=bool)
 
-    def _extend(self, upto: int) -> None:
-        if upto < len(self._mask):
-            return
-        # At least double the mask, so a run of n slots copies O(n) in total.
-        have = len(self._mask) // _BLOCK
-        need = max(upto // _BLOCK + 1, 2 * have)
-        blocks = [self._gen.random(_BLOCK) >= self.epsilon for _ in range(need - have)]
-        self._mask = np.concatenate([self._mask, *blocks])
+    def _draws(self, first_block: int, n_slots: int) -> np.ndarray:
+        bits = np.random.Philox(self._stream)
+        # Philox yields four 64-bit draws per counter step, one per slot.
+        bits.advance(first_block * _BLOCK // 4)
+        return np.random.Generator(bits).random(n_slots) >= self.epsilon
 
     def deliver(self, slot: int) -> bool:
         """True when the symbol sent in ``slot`` reaches the receiver."""
         if slot < 0:
             raise ValueError("slot must be non-negative")
-        self._extend(slot)
-        return bool(self._mask[slot])
+        block, offset = divmod(slot, _BLOCK)
+        if block != self._block_index:
+            self._block = self._draws(block, _BLOCK)
+            self._block_index = block
+        return bool(self._block[offset])
 
     def deliver_mask(self, n_slots: int) -> np.ndarray:
         """Delivery outcomes for slots 0..n_slots-1 as a boolean array."""
         if n_slots < 0:
             raise ValueError("n_slots must be non-negative")
-        if n_slots:
-            self._extend(n_slots - 1)
-        return self._mask[:n_slots].copy()
+        return self._draws(0, n_slots)

@@ -40,7 +40,7 @@ def _seed(args) -> int:
     return int(env) if env else 0
 
 
-def _scheme(args, for_predict: bool = False) -> SchemeConfig:
+def _scheme(args) -> SchemeConfig:
     name = args.scheme
     if name == "ofcnb":
         if args.gamma0 is None:
@@ -50,14 +50,11 @@ def _scheme(args, for_predict: bool = False) -> SchemeConfig:
         raise UsageError(f"--gamma0 is not valid with --scheme {name}")
     if name == "sofc":
         return SOFC()
-    beta0 = getattr(args, "beta0", 0.5)
-    if for_predict and beta0 != 0.5:
-        raise UsageError("predict covers the beta0 = 0.5 operating point only")
-    return OFC(beta0)
+    return OFC(getattr(args, "beta0", 0.5))
 
 
 def _policy(args):
-    if getattr(args, "policy", "every") == "threshold":
+    if args.policy == "threshold":
         return Threshold(args.delta_p)
     return EveryDegreeChange()
 
@@ -73,7 +70,7 @@ def _sidecar(path: str) -> str:
 
 
 def cmd_predict(args) -> int:
-    config = _scheme(args, for_predict=True)
+    config = _scheme(args)
     curve = analytics.expected_curve(config, args.k, args.eps)
     rows = [PREDICT_HEADER]
     for s, n in enumerate(curve, start=1):
@@ -97,7 +94,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    config = _scheme(args, for_predict=True)
+    config = _scheme(args)
     agg = sim.monte_carlo(
         config, args.k, args.eps, args.trials,
         policy=_policy(args), seed=_seed(args), jobs=args.jobs,
@@ -179,6 +176,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gamma0", type=float, default=None,
                        help="seeding fraction (ofcnb only)")
 
+    def policy_flags(p):
+        p.add_argument("--policy", choices=["every", "threshold"], default="every")
+        p.add_argument("--delta-p", dest="delta_p", type=float, default=0.01)
+
     p = sub.add_parser("predict", help="closed-form expected transmitted-count curve")
     scheme_flags(p)
     p.add_argument("--k", type=int, default=1000)
@@ -190,8 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     scheme_flags(p)
     common(p)
     p.add_argument("--beta0", type=float, default=0.5, help="component threshold (ofc only)")
-    p.add_argument("--policy", choices=["every", "threshold"], default="every")
-    p.add_argument("--delta-p", dest="delta_p", type=float, default=0.01)
+    policy_flags(p)
     p.add_argument("--budget", type=int, default=None,
                    help="max sent symbols per trial (default 50*k)")
     p.add_argument("--out", required=True)
@@ -200,8 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="analytic-vs-empirical relative error report")
     scheme_flags(p)
     common(p)
-    p.add_argument("--policy", choices=["every", "threshold"], default="every")
-    p.add_argument("--delta-p", dest="delta_p", type=float, default=0.01)
+    policy_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_compare)
 
@@ -217,13 +216,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transfer", help="move a file through the framed lossy link")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--scheme", choices=["ofc", "ofcnb", "sofc"], required=True)
-    p.add_argument("--gamma0", type=float, default=None)
+    scheme_flags(p)
     p.add_argument("--eps", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--symbol-size", dest="symbol_size", type=int, default=1024)
-    p.add_argument("--policy", choices=["every", "threshold"], default="every")
-    p.add_argument("--delta-p", dest="delta_p", type=float, default=0.01)
+    policy_flags(p)
     p.add_argument("--out", default=None, help="write the reconstructed bytes here")
     p.set_defaults(func=cmd_transfer)
 
@@ -235,10 +232,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

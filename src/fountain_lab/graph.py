@@ -120,7 +120,6 @@ class Classification:
     a: int | None = None          # CASE2 / CYCLE endpoints
     b: int | None = None
     xor: bytes | None = None      # CASE2: residual edge label
-    unknown: int = 0
 
 
 @dataclass
@@ -162,9 +161,6 @@ class DecodeGraph:
         while self._parent[x] != root:
             self._parent[x], x = root, self._parent[x]
         return root
-
-    def component_size(self, x: int) -> int:
-        return self._size[self.find(x)]
 
     # -- queries ---------------------------------------------------------
 
@@ -213,15 +209,15 @@ class DecodeGraph:
                 unknown.append(i)
         n = len(unknown)
         if n == 0:
-            return Classification(Case.DUPLICATE, unknown=0)
+            return Classification(Case.DUPLICATE)
         if n == 1:
-            return Classification(Case.CASE1, target=unknown[0], value=residual, unknown=1)
+            return Classification(Case.CASE1, target=unknown[0], value=residual)
         if n == 2:
             a, b = unknown
             if self.find(a) == self.find(b):
-                return Classification(Case.CYCLE, a=a, b=b, unknown=2)
-            return Classification(Case.CASE2, a=a, b=b, xor=residual, unknown=2)
-        return Classification(Case.TOO_MANY_UNKNOWN, unknown=n)
+                return Classification(Case.CYCLE, a=a, b=b)
+            return Classification(Case.CASE2, a=a, b=b, xor=residual)
+        return Classification(Case.TOO_MANY_UNKNOWN)
 
     def apply_case1(self, target: int, value: bytes | None) -> list[tuple[int, bytes | None]]:
         """Recover ``target`` and, via stored edges, its whole component.

@@ -159,14 +159,12 @@ class Encoder:
         source: SourceBlock,
         seed: int = 0,
         trial_id: int = 0,
-        payload_mode: str = "full",
     ):
-        if payload_mode not in ("full", "counting"):
-            raise ValueError(f"unknown payload_mode {payload_mode!r}")
         self.config = config
         self.source = source
         self.k = source.k
-        self.payload_mode = payload_mode
+        # A block of empty payloads is counting mode: symbols carry no bytes.
+        self._carries_payloads = source.symbol_size > 0
         self.rng = random.Random(encoder_seed(seed, trial_id))
         if isinstance(config, OFC):
             self.phase = Phase.BUILD_UP
@@ -184,7 +182,7 @@ class Encoder:
         return self.known_recovered / self.k
 
     def _emit(self, indices: tuple[int, ...]) -> CodedSymbol:
-        payload = self.source.encode(indices) if self.payload_mode == "full" else None
+        payload = self.source.encode(indices) if self._carries_payloads else None
         label = self.phase.value
         self.phase_sent[label] = self.phase_sent.get(label, 0) + 1
         return CodedSymbol(indices, payload)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import warnings
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -22,6 +23,8 @@ import numpy as np
 from .channel import ErasureChannel, source_seed
 from .graph import CodedSymbol, SourceBlock
 from .schemes import (
+    OFC,
+    SOFC,
     Encoder,
     EveryDegreeChange,
     FeedbackMsg,
@@ -98,31 +101,46 @@ class _ObjectLink:
 
 
 def _drive(
-    enc: Encoder,
-    rcv: Receiver,
-    chan: ErasureChannel,
-    budget: int,
+    config: SchemeConfig,
+    source: SourceBlock,
+    eps: float,
+    policy: FeedbackPolicy,
+    seed: int,
+    trial_id: int,
+    budget: int | None,
     link,
     sent: int = 0,
     feedback_delay: int = 0,
-) -> tuple[int, int, list[TracePoint], int]:
-    """The session loop: encoder -> link -> channel -> receiver -> feedback.
+) -> tuple[SessionResult, Encoder, Receiver]:
+    """Set up and run one session: encoder -> link -> channel -> receiver -> feedback.
 
-    ``link`` carries each transmitted symbol (``send`` before the channel,
-    ``receive`` after a delivery) and each feedback message (``feedback``).
-    ``sent`` starts the transmitted count at frames already spent on setup;
-    channel slots count from 0.  Feedback reaches the encoder
+    ``budget`` defaults to 50 * k transmissions and may not be below k
+    (ValueError).  ``link`` carries each transmitted symbol (``send`` before
+    the channel, ``receive`` after a delivery) and each feedback message
+    (``feedback``).  ``sent`` starts the transmitted count at frames already
+    spent on setup; channel slots count from 0.  Feedback reaches the encoder
     ``feedback_delay`` transmissions after it is emitted.  Stops at COMPLETE
     or when ``budget`` transmissions are spent.
 
-    Returns (sent, received, trace, feedback emitted when 80% of the source
-    was first recovered).
+    A source of empty payloads runs in counting mode.  Otherwise every
+    recovered payload of a complete session is checked against the source
+    (AssertionError "recovered payload mismatch" on any difference).
     """
+    k = source.k
+    if budget is None:
+        budget = DEFAULT_BUDGET_FACTOR * k
+    if budget < k:
+        raise ValueError(f"budget {budget} cannot be below k={k}")
+    carries_payloads = source.symbol_size > 0
+    enc = Encoder(config, source, seed=seed, trial_id=trial_id)
+    rcv = Receiver(k, config, policy, track_values=carries_payloads)
+    chan = ErasureChannel(eps, seed=seed, trial_id=trial_id)
+
     trace: list[TracePoint] = []
     pending: deque[tuple[int, FeedbackMsg]] = deque()   # (deliverable_at_sent, msg)
     received = slot = 0
     fb_at_08 = None
-    threshold_08 = math.ceil(0.8 * rcv.k)
+    threshold_08 = math.ceil(0.8 * k)
     while sent < budget:
         while pending and pending[0][0] <= sent:
             enc.on_feedback(pending.popleft()[1])
@@ -145,7 +163,27 @@ def _drive(
         if msg is not None:
             trace.append(TracePoint(sent, received, rcv.recovered, event=msg.kind.name.lower()))
             pending.append((sent + feedback_delay, link.feedback(msg)))
-    return sent, received, trace, fb_at_08 or 0
+
+    complete = rcv.complete
+    if carries_payloads and complete:
+        got = rcv.recovered_payloads()
+        for i in range(k):
+            if got[i] != source.symbols[i]:
+                raise AssertionError(f"recovered payload mismatch at index {i}")
+    result = SessionResult(
+        scheme=scheme_name(config),
+        k=k,
+        eps=eps,
+        trial_id=trial_id,
+        trace=trace,
+        sent_total=sent,
+        received_total=received,
+        full_recovery_sent=sent if complete else None,
+        budget_exceeded=not complete,
+        feedback_total=rcv.feedback_sent,
+        feedback_at_beta08=fb_at_08 or 0,
+    )
+    return result, enc, rcv
 
 
 def run_session(
@@ -157,53 +195,33 @@ def run_session(
     trial_id: int = 0,
     budget: int | None = None,
     payload_mode: str = "counting",
-    symbol_size: int = 32,
     source: SourceBlock | None = None,
     feedback_delay: int = 0,
 ) -> SessionResult:
     """Run one encode/erase/decode/feedback session to completion or budget.
 
-    In ``payload_mode="full"`` every recovered payload is checked against the
-    source block at the end.  ``feedback_delay`` postpones message arrival by
-    that many symbol slots (0 = the idealized instant-feedback model).
+    ``budget`` defaults to 50 * k transmissions; a budget below k raises
+    ValueError, and running out of budget is flagged in the result, not
+    raised.  ``payload_mode="counting"`` moves no bytes; ``"full"`` encodes
+    a seeded block of 32-byte payloads, and a given ``source`` block is used
+    as is.  Whenever payloads move, every recovered payload of a complete
+    session is checked against the source and a difference raises
+    AssertionError "recovered payload mismatch".  ``feedback_delay``
+    postpones message arrival by that many symbol slots (0 = the idealized
+    instant-feedback model).
     """
-    if budget is None:
-        budget = DEFAULT_BUDGET_FACTOR * k
-    if budget < k:
-        raise ValueError(f"budget {budget} cannot be below k={k}")
+    if payload_mode not in ("counting", "full"):
+        raise ValueError(f"unknown payload_mode {payload_mode!r}")
     if source is None:
         if payload_mode == "full":
-            import random as _random
-
-            source = SourceBlock.random(k, symbol_size, _random.Random(source_seed(seed, trial_id)))
+            source = SourceBlock.random(k, rng=random.Random(source_seed(seed, trial_id)))
         else:
-            source = SourceBlock(k, tuple(b"" for _ in range(k)))
-    enc = Encoder(config, source, seed=seed, trial_id=trial_id, payload_mode=payload_mode)
-    rcv = Receiver(k, config, policy, track_values=(payload_mode == "full"))
-    chan = ErasureChannel(eps, seed=seed, trial_id=trial_id)
-    sent, received, trace, fb_at_08 = _drive(
-        enc, rcv, chan, budget, _ObjectLink(), feedback_delay=feedback_delay
+            source = SourceBlock(k, (b"",) * k)
+    result, _, _ = _drive(
+        config, source, eps, policy, seed, trial_id, budget, _ObjectLink(),
+        feedback_delay=feedback_delay,
     )
-
-    complete = rcv.complete
-    if payload_mode == "full" and complete:
-        got = rcv.recovered_payloads()
-        for i in range(k):
-            if got[i] != source.symbols[i]:
-                raise AssertionError(f"recovered payload mismatch at index {i}")
-    return SessionResult(
-        scheme=scheme_name(config),
-        k=k,
-        eps=eps,
-        trial_id=trial_id,
-        trace=trace,
-        sent_total=sent,
-        received_total=received,
-        full_recovery_sent=sent if complete else None,
-        budget_exceeded=not complete,
-        feedback_total=rcv.feedback_sent,
-        feedback_at_beta08=fb_at_08,
-    )
+    return result
 
 
 def _recovery_arrays(result: SessionResult) -> tuple[np.ndarray, np.ndarray]:
@@ -259,11 +277,8 @@ class AggregateResult:
 
 
 def _trial_task(args) -> tuple[np.ndarray, float, int, int, bool]:
-    config, k, eps, policy, seed, trial_id, budget, payload_mode, milestones = args
-    res = run_session(
-        config, k, eps, policy=policy, seed=seed, trial_id=trial_id,
-        budget=budget, payload_mode=payload_mode,
-    )
+    config, k, eps, policy, seed, trial_id, budget, milestones = args
+    res = run_session(config, k, eps, policy=policy, seed=seed, trial_id=trial_id, budget=budget)
     sent = sent_at_milestones(res, milestones)
     full = float(res.full_recovery_sent) if res.full_recovery_sent is not None else np.nan
     return sent, full, res.feedback_total, res.feedback_at_beta08, res.budget_exceeded
@@ -278,7 +293,6 @@ def monte_carlo(
     seed: int = 0,
     jobs: int = 1,
     budget: int | None = None,
-    payload_mode: str = "counting",
 ) -> AggregateResult:
     """Aggregate ``trials`` independent sessions (trial ids 0..trials-1).
 
@@ -288,10 +302,7 @@ def monte_carlo(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     milestones = milestone_grid(k)
-    tasks = [
-        (config, k, eps, policy, seed, t, budget, payload_mode, milestones)
-        for t in range(trials)
-    ]
+    tasks = [(config, k, eps, policy, seed, t, budget, milestones) for t in range(trials)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_trial_task, tasks, chunksize=max(1, trials // (4 * jobs))))
@@ -379,15 +390,12 @@ def sweep_epsilon(
     trials: int,
     seed: int = 0,
     jobs: int = 1,
-    beta0: float = 0.5,
 ) -> SweepResult:
     """Full-recovery comparison of the systematic and two-phase schemes per eps."""
-    from .schemes import OFC, SOFC
-
     points = []
     for eps in eps_grid:
         sofc = monte_carlo(SOFC(), k, eps, trials, seed=seed, jobs=jobs)
-        ofc = monte_carlo(OFC(beta0), k, eps, trials, seed=seed, jobs=jobs)
+        ofc = monte_carlo(OFC(), k, eps, trials, seed=seed, jobs=jobs)
         points.append(SweepPoint(float(eps), sofc.overhead_mean * k, ofc.overhead_mean * k))
     return SweepResult(k, points)
 

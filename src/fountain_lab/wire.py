@@ -27,7 +27,9 @@ data symbol is encoded into a frame before the erasure channel decides its
 delivery, each delivered frame is decoded back into a symbol, and each
 feedback message makes the round trip through a feedback frame.  Feedback
 frames and the session header travel on the control path, which is lossless
-per the channel model.
+per the channel model.  The recovered blocks are checked against the input
+before any bytes are returned, so a transfer either returns the exact input
+or raises.
 """
 
 from __future__ import annotations
@@ -37,19 +39,9 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 
-from .channel import ErasureChannel
 from .graph import CodedSymbol, SourceBlock
-from .schemes import (
-    Encoder,
-    EveryDegreeChange,
-    FeedbackKind,
-    FeedbackMsg,
-    FeedbackPolicy,
-    Receiver,
-    SchemeConfig,
-    scheme_name,
-)
-from .sim import DEFAULT_BUDGET_FACTOR, TracePoint, _drive
+from .schemes import EveryDegreeChange, FeedbackKind, FeedbackMsg, FeedbackPolicy, SchemeConfig
+from .sim import TracePoint, _drive
 
 __all__ = [
     "MAGIC",
@@ -288,43 +280,41 @@ def transfer(
 ) -> tuple[bytes, TransferReport]:
     """Move ``data`` through the framed erasure link; returns (output, report).
 
-    Raises :class:`TransferFailed` (with partial stats) when the budget runs
-    out before full recovery.
+    ``budget`` counts frames including the header and defaults to 50 * k; a
+    budget below k raises ValueError.  Raises :class:`TransferFailed` (with
+    partial stats) when the budget runs out before full recovery.  Every
+    recovered block is checked against the input, so a corrupted symbol
+    that got past the frame checks raises AssertionError "recovered payload
+    mismatch" instead of returning wrong bytes.
     """
     source, symbol_size = _split_blocks(data, symbol_size)
-    k = source.k
-    if budget is None:
-        budget = DEFAULT_BUDGET_FACTOR * k
     session_id = seed & 0xFFFFFFFFFFFFFFFF
-    enc = Encoder(config, source, seed=seed, trial_id=trial_id, payload_mode="full")
-    rcv = Receiver(k, config, policy, track_values=True)
-    chan = ErasureChannel(eps, seed=seed, trial_id=trial_id)
 
     # Handshake: the header rides the lossless control path but still counts
     # as one transmitted frame.
-    header = SessionHeader(session_id, k, symbol_size, len(data))
+    header = SessionHeader(session_id, source.k, symbol_size, len(data))
     _expect(decode_frame(encode_header(header)), SessionHeader)
     header_attempts = 1
-    frames_sent, delivered, trace, _ = _drive(
-        enc, rcv, chan, budget, _FramedLink(session_id), sent=header_attempts
+    result, enc, rcv = _drive(
+        config, source, eps, policy, seed, trial_id, budget, _FramedLink(session_id),
+        sent=header_attempts,
     )
 
     report = TransferReport(
-        scheme=scheme_name(config),
-        k=k,
+        scheme=result.scheme,
+        k=result.k,
         symbol_size=symbol_size,
         eps=eps,
         original_len=len(data),
-        frames_sent=frames_sent,
-        frames_delivered=delivered,
+        frames_sent=result.sent_total,
+        frames_delivered=result.received_total,
         header_attempts=header_attempts,
-        feedback_frames=rcv.feedback_sent,
+        feedback_frames=result.feedback_total,
         per_phase_sent=dict(enc.phase_sent),
-        complete=rcv.complete,
-        trace=trace,
+        complete=not result.budget_exceeded,
+        trace=result.trace,
     )
-    if not rcv.complete:
+    if not report.complete:
         raise TransferFailed(report)
-    payloads = rcv.recovered_payloads()
-    out = b"".join(payloads)[: len(data)]  # type: ignore[arg-type]
+    out = b"".join(rcv.recovered_payloads())[: len(data)]  # type: ignore[arg-type]
     return out, report

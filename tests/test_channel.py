@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +49,18 @@ def test_stream_is_frozen_across_block_boundaries():
         ch = ErasureChannel(0.3, seed=9, trial_id=4)
         for slot in order(GOLDEN_BOUNDARY):
             assert ch.deliver(slot) == GOLDEN_BOUNDARY[slot] == mask[slot]
+
+
+def test_far_slot_keeps_one_block_in_memory():
+    tracemalloc.start()
+    try:
+        ch = ErasureChannel(0.3, seed=9, trial_id=4)
+        before = tracemalloc.get_traced_memory()[0]
+        ch.deliver(5_000_000)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20
 
 
 def test_trials_are_distinct_streams():

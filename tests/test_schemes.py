@@ -186,6 +186,14 @@ def test_encoder_stream_is_deterministic():
     assert [c.next_symbol().indices for _ in range(200)] != stream_a
 
 
+def test_empty_payload_source_emits_counting_symbols():
+    # a block of empty payloads is counting mode: symbols carry no bytes
+    for config in (OFC(), OFCNB(0.1), SOFC()):
+        enc = Encoder(config, SourceBlock(10, (b"",) * 10))
+        assert enc.next_symbol().payload is None
+    assert make_encoder(SOFC()).next_symbol().payload is not None
+
+
 def test_completion_indices_sorted_distinct():
     enc = make_encoder(SOFC(), k=30)
     enc.on_feedback(FeedbackMsg(FeedbackKind.BETA_UPDATE, 27))

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -160,6 +161,32 @@ def test_transfer_budget_failure_carries_partial_stats():
         transfer(data, SOFC(), 0.8, seed=4, symbol_size=64, budget=70)
     assert not e.value.report.complete
     assert e.value.report.frames_sent >= 70
+
+
+def test_transfer_rejects_budget_below_k():
+    data = random.Random(3).randbytes(4096)
+    k = 4096 // 64
+    with pytest.raises(ValueError, match="budget"):
+        transfer(data, SOFC(), 0.1, symbol_size=64, budget=k - 1)
+
+
+def test_transfer_never_returns_wrong_bytes(monkeypatch):
+    # a payload corrupted after the frame checks must raise, not leak out
+    flipped = []
+
+    def flip_seq3(buf):
+        frame = decode_frame(buf)
+        if isinstance(frame, DataFrame) and frame.seq_no == 3:
+            flipped.append(frame.seq_no)
+            payload = bytes([frame.payload[0] ^ 0xFF]) + frame.payload[1:]
+            return dataclasses.replace(frame, payload=payload)
+        return frame
+
+    monkeypatch.setattr("fountain_lab.wire.decode_frame", flip_seq3)
+    data = random.Random(4).randbytes(4096)
+    with pytest.raises(AssertionError, match="recovered payload mismatch"):
+        transfer(data, SOFC(), 0.1, seed=2, symbol_size=64)   # slot 3 is delivered
+    assert flipped == [3]
 
 
 @pytest.mark.parametrize(

@@ -35,6 +35,7 @@ from .schemes import (
 )
 from .sim import (
     AggregateResult,
+    PayloadMismatch,
     SessionResult,
     monte_carlo,
     run_session,
@@ -70,6 +71,7 @@ __all__ = [
     "sweep_epsilon",
     "SessionResult",
     "AggregateResult",
+    "PayloadMismatch",
     "DEGREE_AT_HALF",
     "epsilon_threshold",
     "expected_ofc",

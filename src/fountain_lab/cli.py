@@ -3,13 +3,12 @@
 Subcommands emit CSV/JSON for external plotting; every one is deterministic
 given its full flag set including --seed (FOUNTAIN_LAB_SEED is the fallback
 when --seed is omitted).  Exit codes: 0 ok, 2 usage, 3 budget-exhausted
-majority (or failed transfer), 4 I/O error.
+majority (or failed transfer), 4 I/O error, 5 recovered data mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -23,6 +22,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_IO = 4
+EXIT_MISMATCH = 5
 
 PREDICT_HEADER = "s,expected_n"
 SWEEP_HEADER = "eps,sofc_mean_sent,ofc_mean_sent,diff"
@@ -139,11 +139,12 @@ def cmd_transfer(args) -> int:
     except wire.TransferFailed as exc:
         print(f"transfer failed: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except sim.PayloadMismatch as exc:
+        print(f"transfer failed: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
     if args.out:
         with open(args.out, "wb") as fh:
             fh.write(out)
-    digest_in = hashlib.sha256(data).hexdigest()
-    digest_out = hashlib.sha256(out).hexdigest()
     print(json.dumps({
         "k": report.k,
         "symbol_size": report.symbol_size,
@@ -151,9 +152,9 @@ def cmd_transfer(args) -> int:
         "overhead": round(report.overhead, 6),
         "feedback_frames": report.feedback_frames,
         "per_phase_sent": report.per_phase_sent,
-        "sha256_match": digest_in == digest_out,
+        "sha256_match": out == data,   # transfer returns only verified bytes
     }, indent=2))
-    return EXIT_OK if digest_in == digest_out else EXIT_IO
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

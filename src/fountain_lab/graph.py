@@ -20,6 +20,7 @@ import enum
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 __all__ = [
     "ContractViolation",
@@ -63,6 +64,15 @@ class CodedSymbol:
             raise ValueError("coded symbol needs at least one index")
         if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
             raise ValueError(f"indices must be strictly increasing: {self.indices}")
+
+    @classmethod
+    def _trusted(cls, indices: tuple[int, ...], payload: bytes | None) -> "CodedSymbol":
+        """Build a symbol whose indices the caller guarantees are valid (no check)."""
+        sym = object.__new__(cls)
+        attrs = sym.__dict__
+        attrs["indices"] = indices
+        attrs["payload"] = payload
+        return sym
 
     @property
     def degree(self) -> int:
@@ -110,8 +120,7 @@ class Case(enum.Enum):
     TOO_MANY_UNKNOWN = "too-many-unknown"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Outcome of reducing a coded symbol against the current graph."""
 
     case: Case
@@ -196,28 +205,34 @@ class DecodeGraph:
     # -- symbol handling ---------------------------------------------------
 
     def classify(self, sym: CodedSymbol) -> Classification:
-        """Reduce a symbol against recovered values; the graph is not modified."""
-        unknown: list[int] = []
-        residual = sym.payload
-        for i in sym.indices:
-            if i >= self.k or i < 0:
-                raise MalformedSymbol(f"index {i} out of range for k={self.k}")
-            if self.color[i]:
-                if residual is not None and self.track_values:
-                    residual = xor_bytes(residual, self.values[i])  # type: ignore[arg-type]
-            else:
-                unknown.append(i)
+        """Reduce a symbol against recovered values; the graph is not modified.
+
+        Only CASE1 and CASE2 carry a residual, so only they XOR out the
+        recovered constituents.
+        """
+        indices = sym.indices
+        k = self.k
+        if indices[0] < 0 or indices[-1] >= k:   # indices are strictly increasing
+            bad = next(i for i in indices if i < 0 or i >= k)
+            raise MalformedSymbol(f"index {bad} out of range for k={k}")
+        color = self.color
+        unknown = [i for i in indices if not color[i]]
         n = len(unknown)
         if n == 0:
             return Classification(Case.DUPLICATE)
+        if n > 2:
+            return Classification(Case.TOO_MANY_UNKNOWN)
+        if n == 2 and self.find(unknown[0]) == self.find(unknown[1]):
+            return Classification(Case.CYCLE, a=unknown[0], b=unknown[1])
+        residual = sym.payload
+        if residual is not None and self.track_values and n < len(indices):
+            values = self.values
+            for i in indices:
+                if color[i]:
+                    residual = xor_bytes(residual, values[i])  # type: ignore[arg-type]
         if n == 1:
             return Classification(Case.CASE1, target=unknown[0], value=residual)
-        if n == 2:
-            a, b = unknown
-            if self.find(a) == self.find(b):
-                return Classification(Case.CYCLE, a=a, b=b)
-            return Classification(Case.CASE2, a=a, b=b, xor=residual)
-        return Classification(Case.TOO_MANY_UNKNOWN)
+        return Classification(Case.CASE2, a=unknown[0], b=unknown[1], xor=residual)
 
     def apply_case1(self, target: int, value: bytes | None) -> list[tuple[int, bytes | None]]:
         """Recover ``target`` and, via stored edges, its whole component.

@@ -185,7 +185,32 @@ class Encoder:
         payload = self.source.encode(indices) if self._carries_payloads else None
         label = self.phase.value
         self.phase_sent[label] = self.phase_sent.get(label, 0) + 1
-        return CodedSymbol(indices, payload)
+        return CodedSymbol._trusted(indices, payload)
+
+    def _sample(self, m: int) -> tuple[int, ...]:
+        """``tuple(sorted(rng.sample(range(k), m)))``, drawn without its overhead.
+
+        Above CPython's set-size cut-off ``random.sample`` keeps redrawing
+        ``getrandbits(k.bit_length())`` until a draw is below k and unseen;
+        this loop makes exactly those calls, so the generator state and the
+        result match it.  At or below the cut-off (and for m > k, which it
+        rejects) ``random.sample`` runs its pool branch itself.
+        """
+        k = self.k
+        setsize = 21
+        if m > 5:
+            setsize += 4 ** math.ceil(math.log(m * 3, 4))
+        if k <= setsize:
+            return tuple(sorted(self.rng.sample(range(k), m)))
+        getrandbits = self.rng.getrandbits
+        bits = k.bit_length()
+        selected: set[int] = set()
+        add = selected.add
+        while len(selected) < m:
+            j = getrandbits(bits)
+            if j < k and j not in selected:
+                add(j)
+        return tuple(sorted(selected))
 
     def _enter_completion(self) -> None:
         self.phase = Phase.COMPLETION
@@ -195,7 +220,7 @@ class Encoder:
         if self.phase is Phase.DONE:
             raise ProtocolError("session already complete")
         if self.phase is Phase.BUILD_UP:
-            return self._emit(tuple(sorted(self.rng.sample(range(self.k), 2))))
+            return self._emit(self._sample(2))
         if self.phase is Phase.DEGREE1_SEEDING:
             return self._emit((self.rng.randrange(self.k),))
         if self.phase is Phase.SYSTEMATIC:
@@ -206,7 +231,7 @@ class Encoder:
             # All indexes sent and no feedback seen yet (tail frames erased):
             # fall through to completion with the stale recovery estimate.
             self._enter_completion()
-        return self._emit(tuple(sorted(self.rng.sample(range(self.k), self.current_m))))
+        return self._emit(self._sample(self.current_m))
 
     def on_feedback(self, msg: FeedbackMsg) -> None:
         if self.phase is Phase.DONE:

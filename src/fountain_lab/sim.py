@@ -38,6 +38,7 @@ from .schemes import (
 )
 
 __all__ = [
+    "PayloadMismatch",
     "TracePoint",
     "SessionResult",
     "AggregateResult",
@@ -56,6 +57,14 @@ __all__ = [
 
 DEFAULT_BUDGET_FACTOR = 50
 CSV_HEADER = "scheme,k,eps,gamma0,policy,trial_or_agg,s,sent_mean,sent_std"
+
+
+class PayloadMismatch(AssertionError):
+    """A complete session recovered a payload that differs from the source.
+
+    It subclasses AssertionError so that callers catching the bare error it
+    replaces keep working.
+    """
 
 
 @dataclass(frozen=True)
@@ -124,7 +133,7 @@ def _drive(
 
     A source of empty payloads runs in counting mode.  Otherwise every
     recovered payload of a complete session is checked against the source
-    (AssertionError "recovered payload mismatch" on any difference).
+    (PayloadMismatch "recovered payload mismatch" on any difference).
     """
     k = source.k
     if budget is None:
@@ -169,7 +178,7 @@ def _drive(
         got = rcv.recovered_payloads()
         for i in range(k):
             if got[i] != source.symbols[i]:
-                raise AssertionError(f"recovered payload mismatch at index {i}")
+                raise PayloadMismatch(f"recovered payload mismatch at index {i}")
     result = SessionResult(
         scheme=scheme_name(config),
         k=k,
@@ -206,7 +215,7 @@ def run_session(
     a seeded block of 32-byte payloads, and a given ``source`` block is used
     as is.  Whenever payloads move, every recovered payload of a complete
     session is checked against the source and a difference raises
-    AssertionError "recovered payload mismatch".  ``feedback_delay``
+    PayloadMismatch "recovered payload mismatch".  ``feedback_delay``
     postpones message arrival by that many symbol slots (0 = the idealized
     instant-feedback model).
     """

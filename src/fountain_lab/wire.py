@@ -284,7 +284,7 @@ def transfer(
     budget below k raises ValueError.  Raises :class:`TransferFailed` (with
     partial stats) when the budget runs out before full recovery.  Every
     recovered block is checked against the input, so a corrupted symbol
-    that got past the frame checks raises AssertionError "recovered payload
+    that got past the frame checks raises PayloadMismatch "recovered payload
     mismatch" instead of returning wrong bytes.
     """
     source, symbol_size = _split_blocks(data, symbol_size)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -6,6 +7,7 @@ import random
 import pytest
 
 from fountain_lab import cli
+from fountain_lab.wire import DataFrame, decode_frame
 
 
 def run(*argv):
@@ -119,6 +121,24 @@ def test_simulate_budget_majority_exit_code(tmp_path):
 def test_transfer_missing_input_is_io_error(tmp_path):
     assert run("transfer", "--in", str(tmp_path / "missing.bin"),
                "--scheme", "sofc") == 4
+
+
+def test_transfer_payload_mismatch_exit_code(tmp_path, monkeypatch, capsys):
+    # a payload corrupted after the frame checks is a documented failure
+    def flip_seq3(buf):
+        frame = decode_frame(buf)
+        if isinstance(frame, DataFrame) and frame.seq_no == 3:
+            payload = bytes([frame.payload[0] ^ 0xFF]) + frame.payload[1:]
+            return dataclasses.replace(frame, payload=payload)
+        return frame
+
+    monkeypatch.setattr("fountain_lab.wire.decode_frame", flip_seq3)
+    src, dst = tmp_path / "f.bin", tmp_path / "f.out"
+    src.write_bytes(random.Random(4).randbytes(4096))
+    assert run("transfer", "--in", str(src), "--scheme", "sofc", "--eps", "0.1",
+               "--seed", "2", "--symbol-size", "64", "--out", str(dst)) == 5
+    assert "transfer failed: recovered payload mismatch" in capsys.readouterr().err
+    assert not dst.exists()
 
 
 def test_seed_env_fallback(tmp_path, monkeypatch):

@@ -63,6 +63,48 @@ def test_classify_case2_cycle_duplicate():
         g.classify(sym(0, 9))
 
 
+def test_classify_checks_both_ends_of_the_range():
+    g = DecodeGraph(8)
+    with pytest.raises(MalformedSymbol, match="index -1 out of range"):
+        g.classify(sym(-1, 3))
+    with pytest.raises(MalformedSymbol, match="index 8 out of range"):
+        g.classify(sym(2, 5, 8))
+
+
+def test_trusted_symbol_equals_checked_symbol():
+    t = CodedSymbol._trusted((1, 4, 9), b"\x01\x02")
+    c = CodedSymbol((1, 4, 9), b"\x01\x02")
+    assert t == c and hash(t) == hash(c)
+    assert CodedSymbol._trusted((3,), None) == CodedSymbol((3,))
+
+
+def test_classify_xors_only_useful_symbols(monkeypatch):
+    blk = SourceBlock.random(8, 4, random.Random(2))
+    g = DecodeGraph(8)
+    g.apply_case1(0, blk.symbols[0])
+    g.apply_case1(1, blk.symbols[1])
+    g.apply_case2(2, 3, xor_bytes(blk.symbols[2], blk.symbols[3]))
+    too_many, duplicate, case1, case2 = (
+        sym(*t, payload=blk.encode(t)) for t in ((0, 4, 5, 6), (0, 1), (0, 1, 4), (1, 4, 5))
+    )
+    calls = []
+
+    def counting_xor(a, b):
+        calls.append(1)
+        return xor_bytes(a, b)
+
+    monkeypatch.setattr("fountain_lab.graph.xor_bytes", counting_xor)
+    assert g.classify(too_many).case is Case.TOO_MANY_UNKNOWN
+    assert g.classify(duplicate).case is Case.DUPLICATE
+    assert calls == []
+    c1 = g.classify(case1)
+    assert (c1.case, c1.target, c1.value) == (Case.CASE1, 4, blk.symbols[4])
+    c2 = g.classify(case2)
+    assert (c2.case, c2.a, c2.b) == (Case.CASE2, 4, 5)
+    assert c2.xor == xor_bytes(blk.symbols[4], blk.symbols[5])
+    assert len(calls) == 3
+
+
 def test_apply_case1_isolated_node():
     g = DecodeGraph(5)
     out = g.apply_case1(3, b"\x07")

@@ -194,6 +194,22 @@ def test_empty_payload_source_emits_counting_symbols():
     assert make_encoder(SOFC()).next_symbol().payload is not None
 
 
+@pytest.mark.parametrize("k", [2, 21, 22, 85, 86, 1024, 1044, 1045, 1046, 4096, 100000])
+def test_sampler_reproduces_random_sample(k):
+    # set-size boundaries: 21 (m <= 5), 85 (m = 6..21), 1045 (m = 86..341);
+    # powers of two pin the bit count of each draw
+    for m in (1, 2, 5, 6, 15, 86, 200, 1414):
+        if m > k:
+            continue
+        for s in range(3):
+            enc = Encoder(SOFC(), SourceBlock(k, (b"",) * k), seed=s)
+            ref = random.Random()
+            ref.setstate(enc.rng.getstate())
+            for _ in range(4):
+                assert enc._sample(m) == tuple(sorted(ref.sample(range(k), m)))
+            assert enc.rng.getstate() == ref.getstate()
+
+
 def test_completion_indices_sorted_distinct():
     enc = make_encoder(SOFC(), k=30)
     enc.on_feedback(FeedbackMsg(FeedbackKind.BETA_UPDATE, 27))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -90,6 +91,24 @@ def test_golden_sessions(scheme, policy):
     r = run_session(config, 1000, 0.1, policy=pol, seed=3)
     got = (r.sent_total, r.received_total, r.feedback_total, r.feedback_at_beta08, len(r.trace))
     assert got == GOLDEN_SESSIONS[scheme, policy]
+
+
+# (sent_total, feedback_total, SHA-256 of repr(trace)) at k=20000, eps=0.1,
+# seed=3: completion degrees reach the encoder sampler's set branch at m in
+# the hundreds, which the k=1000 goldens never exercise.
+GOLDEN_LARGE_K = {
+    "ofc": (26238, 217, "0ec036ed94f9d53f37680213b895a3d23d8135996d9ce5499352da50f3404c15"),
+    "ofcnb": (26491, 202, "e0cb5d071a3217da83e48d5f80ba40f156d7e4971d707455155cb67a950ca873"),
+    "sofc": (23642, 188, "9693e9466cdbb778adbb7226b2c25816188e2ee975912780996fe9c14b4d859a"),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(GOLDEN_LARGE_K))
+def test_golden_sessions_large_k(scheme):
+    config = {"ofc": OFC(), "ofcnb": OFCNB(0.01), "sofc": SOFC()}[scheme]
+    r = run_session(config, 20000, 0.1, seed=3)
+    digest = hashlib.sha256(repr(r.trace).encode()).hexdigest()
+    assert (r.sent_total, r.feedback_total, digest) == GOLDEN_LARGE_K[scheme]
 
 
 def test_ofc_dead_zone():

@@ -12,6 +12,11 @@ two ingredients:
   costs ``1/completion_prob(n, k)`` transmissions, discounted by the stored
   edges.
 
+Each regime is written once, as an array expression over s (``_ofc``,
+``_ofcnb_*``, ``_sofc``); the public functions evaluate it at a single s
+and :func:`expected_curve` over s = 1..k in one pass, so call the latter
+when many s are needed.
+
 Random-selection schemes extend to a lossy channel by dividing the lossless
 count by (1 - eps) (:func:`lossy_adjust`); the systematic scheme's formulas
 depend on eps directly and must never be adjusted again.
@@ -25,11 +30,10 @@ not at the seeding boundary.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
-from .degree import completion_prob
+from .degree import _completion_probs, completion_prob
 from .schemes import OFC, OFCNB, SOFC, SchemeConfig
 
 __all__ = [
@@ -78,26 +82,61 @@ def _ridx(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-@lru_cache(maxsize=8)
 def _inv_completion_prefix(k: int) -> np.ndarray:
-    """prefix[j] = sum_{i<j} 1/completion_prob(i, k), computed once per k."""
-    inv = np.empty(k, dtype=float)
-    for n in range(k):
-        inv[n] = 1.0 / completion_prob(n, k)
-    return np.concatenate([[0.0], np.cumsum(inv)])
+    """prefix[j] = sum_{i<j} 1/completion_prob(i, k)."""
+    return np.concatenate([[0.0], np.cumsum(1.0 / _completion_probs(k))])
 
 
-def _completion_sum(k: int, lo: int, hi: int) -> float:
-    """sum_{i=lo}^{hi-1} 1/completion_prob(i, k); empty when hi <= lo."""
-    if hi <= lo:
-        return 0.0
+def _completion_sum(k: int, lo: int, s: np.ndarray) -> np.ndarray:
+    """sum_{i=lo}^{s-1} 1/completion_prob(i, k) for each s > lo."""
     prefix = _inv_completion_prefix(k)
-    return float(prefix[hi] - prefix[lo])
+    return prefix[s] - prefix[lo]
+
+
+def _log1p(x: np.ndarray) -> np.ndarray:
+    """``math.log1p`` elementwise; ``np.log1p`` can differ from it in the last bit."""
+    return np.fromiter(map(math.log1p, x.tolist()), float, len(x))
+
+
+def _piecewise(s: np.ndarray, *pieces) -> np.ndarray:
+    """Evaluate a piecewise curve at the int array ``s``.
+
+    ``pieces`` are (last, fn) pairs read like an if-chain: fn gives the curve
+    at the s that no earlier piece took and that are <= last (every
+    remaining s when last is None).  A piece that takes no s is not
+    evaluated, so a single s computes only its own piece.
+    """
+    out = np.empty(s.shape)
+    todo = np.ones(s.shape, dtype=bool)
+    for last, fn in pieces:
+        take = todo if last is None else todo & (s <= last)
+        if take.any():
+            out[take] = fn(s[take])
+        todo &= ~take
+    return out
 
 
 def _check_s(s: int, k: int) -> None:
+    if k < 2:
+        raise ValueError(f"need k >= 2 source symbols, got k={k}")
     if not 1 <= s <= k:
         raise ValueError(f"need 1 <= s <= k, got s={s}, k={k}")
+
+
+def _at(curve, s: int, k: int, *args) -> float:
+    """Evaluate the array form ``curve(s, k, *args)`` at a single s."""
+    _check_s(s, k)
+    return float(curve(np.array([s]), k, *args)[0])
+
+
+def _ofc(s: np.ndarray, k: int) -> np.ndarray:
+    half = _ridx(k / 2)
+    base = k * LN2
+    return _piecewise(
+        s,
+        (half, lambda s: base),
+        (None, lambda s: base + (1.0 - DEGREE_AT_HALF / 4.0) * _completion_sum(k, half, s)),
+    )
 
 
 def expected_ofc(s: int, k: int) -> float:
@@ -107,28 +146,41 @@ def expected_ofc(s: int, k: int) -> float:
     the curve is flat there; past half recovery each step costs
     (1 - DEGREE_AT_HALF/4) / completion_prob.
     """
-    _check_s(s, k)
-    half = _ridx(k / 2)
-    base = k * LN2
-    if s <= half:
-        return base
-    return base + (1.0 - DEGREE_AT_HALF / 4.0) * _completion_sum(k, half, s)
+    return _at(_ofc, s, k)
 
 
-def expected_ofcnb_small(s: int, k: int, gamma0: float) -> float:
-    """Build-up-free scheme in the small-seeding regime (gamma0 <= 0.05)."""
-    _check_s(s, k)
+def _ofcnb_small(s: np.ndarray, k: int, gamma0: float) -> np.ndarray:
     if not 0.0 < gamma0 <= 0.05:
         raise ValueError(f"small-seeding form needs 0 < gamma0 <= 0.05, got {gamma0}")
     g = _ridx(gamma0 * k)
     half = _ridx(k / 2)
-    if s <= g:
-        return float(s)
-    if s <= half:
+
+    def degree_two(s):
         u = s - g
-        return -(k * k) * math.log1p(-u / k) / (2.0 * u)
-    tail = -k * math.log(0.5 + gamma0) / (1.0 - 2.0 * gamma0)
-    return (1.0 - DEGREE_AT_HALF / 4.0) * _completion_sum(k, half, s) + tail
+        return -(k * k) * _log1p(-u / k) / (2.0 * u)
+
+    def completion(s):
+        tail = -k * math.log(0.5 + gamma0) / (1.0 - 2.0 * gamma0)
+        return (1.0 - DEGREE_AT_HALF / 4.0) * _completion_sum(k, half, s) + tail
+
+    return _piecewise(s, (g, lambda s: s), (half, degree_two), (None, completion))
+
+
+def expected_ofcnb_small(s: int, k: int, gamma0: float) -> float:
+    """Build-up-free scheme in the small-seeding regime (gamma0 <= 0.05)."""
+    return _at(_ofcnb_small, s, k, gamma0)
+
+
+def _ofcnb_large(s: np.ndarray, k: int, gamma0: float) -> np.ndarray:
+    if not 0.5 <= gamma0 <= 1.0:
+        raise ValueError(f"heavy-seeding form needs 0.5 <= gamma0 <= 1, got {gamma0}")
+    g = _ridx(gamma0 * k)
+    return _piecewise(
+        s,
+        (min(g, k - 1), lambda s: -k * _log1p(-s / k)),
+        (g, lambda s: math.inf),  # s = k while still seeding: never completes
+        (None, lambda s: _completion_sum(k, g, s) - k * math.log1p(-gamma0)),
+    )
 
 
 def expected_ofcnb_large(s: int, k: int, gamma0: float) -> float:
@@ -137,15 +189,29 @@ def expected_ofcnb_large(s: int, k: int, gamma0: float) -> float:
     Degree-1 coverage is a coupon-collector process; gamma0 = 1 with s = k
     diverges and returns +inf.
     """
-    _check_s(s, k)
-    if not 0.5 <= gamma0 <= 1.0:
-        raise ValueError(f"heavy-seeding form needs 0.5 <= gamma0 <= 1, got {gamma0}")
+    return _at(_ofcnb_large, s, k, gamma0)
+
+
+def _ofcnb_general(s: np.ndarray, k: int, gamma0: float) -> np.ndarray:
+    if not 0.0 < gamma0 < 0.5:
+        raise ValueError(f"general form needs 0 < gamma0 < 0.5, got {gamma0}")
     g = _ridx(gamma0 * k)
-    if s <= g:
-        if s == k:
-            return math.inf
-        return -k * math.log1p(-s / k)
-    return _completion_sum(k, g, s) - k * math.log1p(-gamma0)
+    half = _ridx(k / 2)
+
+    def completion(s):
+        # usable fraction of the degree-2 stage, averaged over its endpoints
+        p_u = 0.5 * (completion_prob(g, k) + completion_prob(half, k))
+        stored_edges = math.log(2.0 - 2.0 * gamma0) * k * p_u - (0.5 - gamma0) * k
+        factor = 1.0 - 2.0 * stored_edges / k
+        return k * LN2 + factor * _completion_sum(k, half, s)
+
+    return _piecewise(
+        s,
+        (g, lambda s: -k * _log1p(-s / k)),
+        (half, lambda s: (s - gamma0 * k) * math.log(2.0 - 2.0 * gamma0) / (0.5 - gamma0)
+         - k * math.log1p(-gamma0)),
+        (None, completion),
+    )
 
 
 def expected_ofcnb_general(s: int, k: int, gamma0: float) -> float:
@@ -155,29 +221,50 @@ def expected_ofcnb_general(s: int, k: int, gamma0: float) -> float:
     cost; the edges it leaves behind discount the completion stage through
     the stored-edge estimate below.
     """
-    _check_s(s, k)
-    if not 0.0 < gamma0 < 0.5:
-        raise ValueError(f"general form needs 0 < gamma0 < 0.5, got {gamma0}")
-    g = _ridx(gamma0 * k)
-    half = _ridx(k / 2)
-    if s <= g:
-        return -k * math.log1p(-s / k)
-    if s <= half:
-        return (s - gamma0 * k) * math.log(2.0 - 2.0 * gamma0) / (0.5 - gamma0) - k * math.log1p(-gamma0)
-    # usable fraction of the degree-2 stage, averaged over its endpoints
-    p_u = 0.5 * (completion_prob(g, k) + completion_prob(half, k))
-    stored_edges = math.log(2.0 - 2.0 * gamma0) * k * p_u - (0.5 - gamma0) * k
-    factor = 1.0 - 2.0 * stored_edges / k
-    return k * LN2 + factor * _completion_sum(k, half, s)
+    return _at(_ofcnb_general, s, k, gamma0)
+
+
+def _ofcnb(s: np.ndarray, k: int, gamma0: float) -> np.ndarray:
+    if gamma0 <= 0.05:
+        return _ofcnb_small(s, k, gamma0)
+    if gamma0 < 0.5:
+        return _ofcnb_general(s, k, gamma0)
+    return _ofcnb_large(s, k, gamma0)
 
 
 def expected_ofcnb(s: int, k: int, gamma0: float) -> float:
     """Dispatch to the seeding regime that covers ``gamma0``."""
-    if gamma0 <= 0.05:
-        return expected_ofcnb_small(s, k, gamma0)
-    if gamma0 < 0.5:
-        return expected_ofcnb_general(s, k, gamma0)
-    return expected_ofcnb_large(s, k, gamma0)
+    return _at(_ofcnb, s, k, gamma0)
+
+
+def _sofc(s: np.ndarray, k: int, eps: float) -> np.ndarray:
+    if not 0.0 <= eps < 1.0:
+        raise ValueError(f"eps must be in [0, 1), got {eps}")
+    r = _ridx((1.0 - eps) * k)
+    half = _ridx(k / 2)
+    systematic = (r, lambda s: s / (1.0 - eps))
+    if eps <= 0.5:
+        return _piecewise(s, systematic, (None, lambda s: k + _completion_sum(k, r, s) / (1.0 - eps)))
+    if eps < 0.99:
+        def completion(s):
+            p_u = 0.5 * (completion_prob(r, k) + completion_prob(half, k))
+            stored_edges = math.log(2.0 * eps) * k * p_u - (eps - 0.5) * k
+            factor = (k - 2.0 * stored_edges) / (k * (1.0 - eps))
+            return k + k * math.log(2.0 * eps) / (1.0 - eps) + factor * _completion_sum(k, half, s)
+
+        return _piecewise(
+            s,
+            systematic,
+            (half, lambda s: k + (s - (1.0 - eps) * k) * math.log(2.0 * eps) / ((eps - 0.5) * (1.0 - eps))),
+            (None, completion),
+        )
+    return _piecewise(
+        s,
+        systematic,
+        (half, lambda s: k - (k * k) * _log1p(-s / k) / (2.0 * s * (1.0 - eps))),
+        (None, lambda s: k + k * LN2 / (1.0 - eps)
+         + (1.0 - DEGREE_AT_HALF / 4.0) / (1.0 - eps) * _completion_sum(k, half, s)),
+    )
 
 
 def expected_sofc(s: int, k: int, eps: float) -> float:
@@ -188,29 +275,11 @@ def expected_sofc(s: int, k: int, eps: float) -> float:
     edges discounting completion; at eps >= 0.99 the near-total-loss forms
     take over (numerical stand-in for the eps -> 1 asymptotics).
     """
-    _check_s(s, k)
-    if not 0.0 <= eps < 1.0:
-        raise ValueError(f"eps must be in [0, 1), got {eps}")
-    r = _ridx((1.0 - eps) * k)
-    half = _ridx(k / 2)
-    if s <= r:
-        return s / (1.0 - eps)
-    if eps <= 0.5:
-        return k + _completion_sum(k, r, s) / (1.0 - eps)
-    if eps < 0.99:
-        if s <= half:
-            return k + (s - (1.0 - eps) * k) * math.log(2.0 * eps) / ((eps - 0.5) * (1.0 - eps))
-        p_u = 0.5 * (completion_prob(r, k) + completion_prob(half, k))
-        stored_edges = math.log(2.0 * eps) * k * p_u - (eps - 0.5) * k
-        factor = (k - 2.0 * stored_edges) / (k * (1.0 - eps))
-        return k + k * math.log(2.0 * eps) / (1.0 - eps) + factor * _completion_sum(k, half, s)
-    if s <= half:
-        return k - (k * k) * math.log1p(-s / k) / (2.0 * s * (1.0 - eps))
-    return k + k * LN2 / (1.0 - eps) + (1.0 - DEGREE_AT_HALF / 4.0) / (1.0 - eps) * _completion_sum(k, half, s)
+    return _at(_sofc, s, k, eps)
 
 
-def lossy_adjust(expected_lossless: float, eps: float) -> float:
-    """Lift a lossless random-selection count to erasure rate eps.
+def lossy_adjust(expected_lossless: float | np.ndarray, eps: float) -> float | np.ndarray:
+    """Lift a lossless random-selection count (or array of counts) to erasure rate eps.
 
     Applies to the random-selection schemes only; the systematic scheme's
     formulas already embed eps and must not pass through here.
@@ -220,22 +289,27 @@ def lossy_adjust(expected_lossless: float, eps: float) -> float:
     return expected_lossless / (1.0 - eps)
 
 
-def expected_transmitted(config: SchemeConfig, s: int, k: int, eps: float = 0.0) -> float:
-    """Expected transmitted symbols for any scheme config at erasure rate eps."""
+def _transmitted(s: np.ndarray, k: int, config: SchemeConfig, eps: float) -> np.ndarray:
     if isinstance(config, SOFC):
-        return expected_sofc(s, k, eps)
+        return _sofc(s, k, eps)
     if isinstance(config, OFCNB):
-        return lossy_adjust(expected_ofcnb(s, k, config.gamma0), eps)
+        return lossy_adjust(_ofcnb(s, k, config.gamma0), eps)
     if isinstance(config, OFC):
         if config.beta0 != 0.5:
             raise ValueError("closed forms cover the beta0 = 0.5 operating point only")
-        return lossy_adjust(expected_ofc(s, k), eps)
+        return lossy_adjust(_ofc(s, k), eps)
     raise TypeError(f"unknown scheme config {config!r}")
+
+
+def expected_transmitted(config: SchemeConfig, s: int, k: int, eps: float = 0.0) -> float:
+    """Expected transmitted symbols for any scheme config at erasure rate eps."""
+    return _at(_transmitted, s, k, config, eps)
 
 
 def expected_curve(config: SchemeConfig, k: int, eps: float = 0.0) -> np.ndarray:
     """Expected transmitted count for every s = 1..k (index s-1)."""
-    return np.array([expected_transmitted(config, s, k, eps) for s in range(1, k + 1)])
+    _check_s(k, k)  # k >= 2; every s in 1..k is then in range
+    return _transmitted(np.arange(1, k + 1), k, config, eps)
 
 
 def compare_to_curve(

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 __all__ = [
     "case1_prob",
     "case2_prob",
@@ -82,6 +84,36 @@ def completion_prob(n: int, k: int) -> float:
         raise ValueError(f"need 0 <= n < k, got n={n}, k={k}")
     beta = n / k
     return useful_prob(optimal_degree(beta, k), beta)
+
+
+def _optimal_degrees(k: int) -> np.ndarray:
+    """``optimal_degree(n / k, k)`` for n = 0..k-1, as whole floats.
+
+    floor(M) + 1 over the whole beta grid; the few tie indices go through
+    the scalar itself, so its tie rule is the only one.
+    """
+    beta = np.arange(k) / k
+    x = 1.0 - beta
+    root = 0.5 + 0.5 * np.sqrt(9.0 * x * x - 16.0 * x + 8.0) / x
+    m = np.floor(root) + 1.0
+    for n in np.flatnonzero(np.abs(root - np.rint(root)) < 1e-6).tolist():
+        m[n] = optimal_degree(n / k)
+    return np.minimum(m, k, out=m)
+
+
+def _completion_probs(k: int) -> np.ndarray:
+    """``completion_prob(n, k)`` for n = 0..k-1 (k >= 2), bit-equal to the scalar.
+
+    Powers use ``np.float_power``, which calls the C library's ``pow`` per
+    element just as Python's ``**`` does; ``np.power`` may take a SIMD
+    ``pow`` that differs in the last bit.
+    """
+    m = _optimal_degrees(k)
+    beta = np.arange(k) / k
+    x = 1.0 - beta
+    # useful_prob(m, beta) = case1_prob + case2_prob, term for term
+    return (m * np.float_power(beta, m - 1) * x
+            + (m * (m - 1) / 2.0) * np.float_power(beta, m - 2) * np.float_power(x, 2))
 
 
 def exact_case_probs(k: int, r: int, m: int) -> tuple[float, float]:

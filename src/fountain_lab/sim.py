@@ -15,7 +15,6 @@ import math
 import random
 import warnings
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -313,6 +312,9 @@ def monte_carlo(
     milestones = milestone_grid(k)
     tasks = [(config, k, eps, policy, seed, t, budget, milestones) for t in range(trials)]
     if jobs > 1:
+        # imported here: the pool's modules are a tenth of the package's import time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_trial_task, tasks, chunksize=max(1, trials // (4 * jobs))))
     else:

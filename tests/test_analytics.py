@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from fountain_lab.analytics import (
     lossy_adjust,
     mean_selection_degree,
 )
-from fountain_lab.degree import completion_prob
+from fountain_lab.degree import _completion_probs, _optimal_degrees, completion_prob, optimal_degree
 from fountain_lab.schemes import OFC, OFCNB, SOFC
 
 K = 1000
@@ -259,3 +260,62 @@ def test_compare_to_curve_toy():
     assert report["max_rel_err"] == pytest.approx(0.02, rel=1e-6)
     assert report["mean_rel_err"] == pytest.approx(0.02, rel=1e-6)
     assert report["n_points"] == 94
+
+
+def test_expected_curve_rejects_fewer_than_two_symbols():
+    for k in (1, 0, -5):
+        with pytest.raises(ValueError, match="k >= 2"):
+            expected_curve(OFC(), k)
+    with pytest.raises(ValueError, match="k >= 2"):
+        expected_ofcnb_small(1, 1, 0.01)
+
+
+# -- golden curves: SHA-256 of expected_curve(...).tobytes() ----------------
+# computed before the closed forms were vectorised; any change in the last
+# bit of any point fails these
+
+GOLDEN_CURVES = [
+    (OFC, (), 1000, 0.0, "fb4e9bf35c4ac19877908c31a1d92e8fa51877183c833f2f6b784509183d8d69"),
+    (OFC, (), 4096, 0.0, "bb39a5d73117972e67e01e34f664c4d726c02b39ebcabf557a7ab7121a7ec411"),
+    (OFC, (), 100000, 0.0, "10b64fc793307f96f97f359fe0bb58cfd325ab87c0155efb814ba750dad63d73"),
+    (OFC, (), 1000, 0.1, "910057fc0a08f195fbbf1e6671d92f9c16bba819096db7dec6d8b1787b2ea5c3"),
+    (OFC, (), 4096, 0.1, "7fbdac48635f5de53d36d531cf44c5854c653d8c39b723702842294d05f0c8bb"),
+    (OFC, (), 100000, 0.1, "c826ed82bf84d6cd158612b3edc63dc6dcc6c8ae82a7708fc67a15f82d642682"),
+    (OFCNB, (0.01,), 1000, 0.0, "6aabbf095c7f43c48126ce2c5c80c65d00f783c42c3d3bd24b29f2913edaeefa"),
+    (OFCNB, (0.01,), 4096, 0.0, "92b1201307a127c235e91805c58eb77adb8205b2a2bc01951a1730ffda7e7339"),
+    (OFCNB, (0.01,), 100000, 0.0, "eb5e021535d85a18a0ff89b6555a3550f58bb260eac48cd6742bf4a510c1c2b2"),
+    (OFCNB, (0.01,), 1000, 0.1, "75adc14949a99113653af9beefebbda36a98e589d461220f8b5af8ce2654ef76"),
+    (OFCNB, (0.01,), 4096, 0.1, "37084505d3e54f4eb3f2c72684d83300bc456014f7e85baec2d83e9e7f99001b"),
+    (OFCNB, (0.01,), 100000, 0.1, "11c94008a2cb4764423d0f7190a568780c7f58a9dcd199614a2ee5c8839fa8f3"),
+    (SOFC, (), 1000, 0.0, "585faf7ba0df729ffb58c3e8476f297bae92a4e521706c9ca269a150be75cab6"),
+    (SOFC, (), 4096, 0.0, "8ff64bb9c05d50d55e41099b3e3301f1b6ff6d43029a9d316859d957efd3b554"),
+    (SOFC, (), 100000, 0.0, "252014329b19bc2b5ae6e9aa33a26520bcbac77e0727c7d5a5114fb9b586514b"),
+    (SOFC, (), 1000, 0.1, "1b7476f40c8ebacbdb738f11fbb5a839b06f071122eb7fc4401553a4affaa5cc"),
+    (SOFC, (), 4096, 0.1, "b99f378fe5ef7c794a2ef3b1d0fd52d9f196c6c4ebaf274ef44a5ae6c420bd22"),
+    (SOFC, (), 100000, 0.1, "80a3428a6f3bb92f324ccadc3250f463d7ca193f7fa29637c1801c36a8e38808"),
+    # one case per remaining regime
+    (OFCNB, (0.05,), 1000, 0.1, "c59fff876c6c4ae317b817e382f56105262e1a285e1f2a43afa1d5c9c8b13d92"),
+    (OFCNB, (0.3,), 1000, 0.1, "e09760dabd37eecac3447dd837ce17984cd71384c05346cbae8cd4168d99bd4c"),
+    (OFCNB, (0.8,), 1000, 0.1, "7dfe8f260d8b85a8ae8982dec120fd1a35ddaa6523dfc3be62c292b3ddc2dad1"),
+    (OFCNB, (1.0,), 1000, 0.1, "5c1b58257f4cecdbccc838ef437b4be124c900df0ac172147476dc197f3de5d6"),
+    (SOFC, (), 1000, 0.6, "3f28424cfc7051a3cb436dc73426349395ced0fbb9be1055970654235d1d7244"),
+    (SOFC, (), 1000, 0.995, "5ac23d35570408eb0a60b4b14ea2f668cb52c8708a60df8ff10f2cd04b4a4ee1"),
+]
+
+
+@pytest.mark.filterwarnings("ignore:gamma0 > 0.5")
+@pytest.mark.parametrize("scheme,args,k,eps,digest", GOLDEN_CURVES)
+def test_golden_curves(scheme, args, k, eps, digest):
+    curve = expected_curve(scheme(*args), k, eps)
+    assert curve.shape == (k,)
+    assert hashlib.sha256(curve.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("k", [7, 36, 205, 3600, 7000, 7380, 100002])
+def test_completion_table_matches_scalar(k):
+    # these k put beta = n/k on exact degree ties (1/2, 6/7, 35/36, ...);
+    # both degrees of a tie give bit-equal probabilities here, so the
+    # degrees are pinned as well
+    assert _optimal_degrees(k).tolist() == [optimal_degree(n / k, k) for n in range(k)]
+    want = np.array([completion_prob(n, k) for n in range(k)])
+    assert _completion_probs(k).tobytes() == want.tobytes()

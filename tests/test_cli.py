@@ -40,6 +40,15 @@ def test_predict_flag_validation(tmp_path):
     assert run("predict", "--scheme", "ofc", "--gamma0", "0.1", "--out", str(out)) == 2
 
 
+def test_predict_rejects_fewer_than_two_symbols(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    for argv in (("--scheme", "ofc", "--k", "0"), ("--scheme", "ofc", "--k", "-5"),
+                 ("--scheme", "ofcnb", "--gamma0", "0.01", "--k", "1")):
+        assert run("predict", *argv, "--out", str(out)) == 2
+        assert "k >= 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_flag_exits_2(tmp_path):
     with pytest.raises(SystemExit) as e:
         run("predict", "--scheme", "sofc", "--nope", "1", "--out", str(tmp_path / "x.csv"))

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fountain_lab
 from fountain_lab.schemes import OFC, OFCNB, SOFC, EveryDegreeChange, Threshold
 from fountain_lab.sim import (
     CSV_HEADER,
@@ -236,3 +241,12 @@ def test_feedback_reference_points():
     assert abs(counts["sofc"].feedback_full_mean - 22.6) <= 0.30 * 22.6
     assert abs(counts["ofcnb"].feedback_full_mean - 29.9) <= 0.30 * 29.9
     assert counts["sofc"].feedback_full_mean < counts["ofcnb"].feedback_full_mean
+
+
+def test_package_import_leaves_process_pool_unloaded():
+    # monte_carlo imports the pool only when jobs > 1
+    src = str(Path(fountain_lab.__file__).resolve().parents[1])
+    code = "import sys, fountain_lab; print('concurrent.futures.process' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -183,12 +183,7 @@ class DecodeGraph:
 
     def largest_white_component(self) -> int:
         if self._largest_dirty:
-            sizes = {}
-            for node in range(self.k):
-                if not self.color[node]:
-                    root = self.find(node)
-                    sizes[root] = self._size[root]
-            self._largest = max(sizes.values(), default=0)
+            self._largest = max(self.component_histogram(), default=0)
             self._largest_dirty = False
         return self._largest
 

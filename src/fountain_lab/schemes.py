@@ -12,9 +12,11 @@ they get there:
 * ``SOFC``  -- every source symbol is sent exactly once, in index order,
   then completion.
 
-The receiver drives all phase changes through feedback messages.  Zero
-feedback latency and a lossless feedback channel are assumed; a configurable
-delay exists in the session driver for experimentation.
+The receiver drives all phase changes through feedback messages, and both
+sides read the one table of phase changes, ``_TRANSITIONS``, through
+:func:`_next_phase`.  Zero feedback latency and a lossless feedback channel
+are assumed; a configurable delay exists in the session driver for
+experimentation.
 """
 
 from __future__ import annotations
@@ -135,6 +137,39 @@ class FeedbackMsg:
     recovered: int = 0
 
 
+# The protocol: (scheme, phase, message) -> next phase.  For every scheme,
+# COMPLETE also ends any phase and BETA_UPDATE keeps COMPLETION in
+# COMPLETION; any other message is a ProtocolError.  SOFC's encoder enters
+# COMPLETION by itself when its index pass ends with no feedback seen.
+_TRANSITIONS: dict[tuple[type, Phase, FeedbackKind], Phase] = {
+    (OFC, Phase.BUILD_UP, FeedbackKind.LARGEST_COMPONENT_REACHED): Phase.DEGREE1_SEEDING,
+    (OFC, Phase.DEGREE1_SEEDING, FeedbackKind.COMPONENT_BLACK): Phase.COMPLETION,
+    (OFCNB, Phase.DEGREE1_SEEDING, FeedbackKind.BETA_UPDATE): Phase.COMPLETION,
+    (SOFC, Phase.SYSTEMATIC, FeedbackKind.BETA_UPDATE): Phase.COMPLETION,
+}
+
+# Opening (phase, degree) of each scheme.
+_START: dict[type, tuple[Phase, int]] = {
+    OFC: (Phase.BUILD_UP, 2),
+    OFCNB: (Phase.DEGREE1_SEEDING, 1),
+    SOFC: (Phase.SYSTEMATIC, 1),
+}
+
+
+def _next_phase(config: SchemeConfig, phase: Phase, kind: FeedbackKind) -> Phase:
+    """The phase after a ``kind`` message in ``phase``; ProtocolError if none."""
+    if phase is Phase.DONE:
+        raise ProtocolError("feedback after session completion")
+    if kind is FeedbackKind.COMPLETE:
+        return Phase.DONE
+    if kind is FeedbackKind.BETA_UPDATE and phase is Phase.COMPLETION:
+        return phase
+    nxt = _TRANSITIONS.get((type(config), phase, kind))
+    if nxt is None:
+        raise ProtocolError(f"unexpected {kind.name} in phase {phase.name}")
+    return nxt
+
+
 def degree_update_due(m_current: int, beta: float, k: int, policy: FeedbackPolicy) -> bool:
     """Completion-phase rule: should the receiver feed back a new degree?
 
@@ -166,14 +201,8 @@ class Encoder:
         # A block of empty payloads is counting mode: symbols carry no bytes.
         self._carries_payloads = source.symbol_size > 0
         self.rng = random.Random(encoder_seed(seed, trial_id))
-        if isinstance(config, OFC):
-            self.phase = Phase.BUILD_UP
-        elif isinstance(config, OFCNB):
-            self.phase = Phase.DEGREE1_SEEDING
-        else:
-            self.phase = Phase.SYSTEMATIC
+        self.phase, self.current_m = _START[type(config)]
         self.known_recovered = 0
-        self.current_m = 2 if isinstance(config, OFC) else 1
         self.phase_sent: dict[str, int] = {}
         self._next_index = 0
 
@@ -212,17 +241,9 @@ class Encoder:
                 add(j)
         return tuple(sorted(selected))
 
-    def _enter_completion(self) -> None:
-        self.phase = Phase.COMPLETION
-        self.current_m = optimal_degree(self.known_beta, self.k)
-
     def next_symbol(self) -> CodedSymbol:
         if self.phase is Phase.DONE:
             raise ProtocolError("session already complete")
-        if self.phase is Phase.BUILD_UP:
-            return self._emit(self._sample(2))
-        if self.phase is Phase.DEGREE1_SEEDING:
-            return self._emit((self.rng.randrange(self.k),))
         if self.phase is Phase.SYSTEMATIC:
             if self._next_index < self.k:
                 idx = self._next_index
@@ -230,48 +251,31 @@ class Encoder:
                 return self._emit((idx,))
             # All indexes sent and no feedback seen yet (tail frames erased):
             # fall through to completion with the stale recovery estimate.
-            self._enter_completion()
+            self.phase = Phase.COMPLETION
+            self.current_m = optimal_degree(self.known_beta, self.k)
         return self._emit(self._sample(self.current_m))
 
     def on_feedback(self, msg: FeedbackMsg) -> None:
-        if self.phase is Phase.DONE:
-            raise ProtocolError("feedback after session completion")
-        kind = msg.kind
-        if kind is FeedbackKind.COMPLETE:
-            self.phase = Phase.DONE
-            self.known_recovered = msg.recovered
-            return
-        if kind is FeedbackKind.LARGEST_COMPONENT_REACHED:
-            if not (isinstance(self.config, OFC) and self.phase is Phase.BUILD_UP):
-                raise ProtocolError(f"unexpected {kind.name} in phase {self.phase.name}")
-            self.phase = Phase.DEGREE1_SEEDING
+        self.phase = phase = _next_phase(self.config, self.phase, msg.kind)
+        if phase is Phase.DEGREE1_SEEDING:
+            # OFC's build-up is over; seeding needs no recovery estimate.
             self.current_m = 1
             return
-        if kind is FeedbackKind.COMPONENT_BLACK:
-            if not (isinstance(self.config, OFC) and self.phase is Phase.DEGREE1_SEEDING):
-                raise ProtocolError(f"unexpected {kind.name} in phase {self.phase.name}")
-            self.known_recovered = msg.recovered
-            self._enter_completion()
-            return
-        # BETA_UPDATE
-        if isinstance(self.config, OFC) and self.phase is not Phase.COMPLETION:
-            raise ProtocolError(f"unexpected BETA_UPDATE in phase {self.phase.name}")
         self.known_recovered = msg.recovered
-        if self.phase in (Phase.DEGREE1_SEEDING, Phase.SYSTEMATIC):
-            self._enter_completion()
-        else:
+        if phase is Phase.COMPLETION:
             self.current_m = optimal_degree(self.known_beta, self.k)
 
 
 class Receiver:
     """Decoder plus feedback generator.
 
-    Mirrors the encoder's phase so it knows which event to watch for:
-    component-size threshold and component-black for OFC, the recovered-count
-    threshold for OFCNB, and end of the systematic pass for SOFC (detected
-    from delivered sequence numbers, so it works identically over the framed
-    link).  During completion it applies the degree-update policy.  Emits at
-    most one message per delivered symbol; COMPLETE subsumes anything else.
+    Mirrors the encoder's phase, advancing it by the same protocol table
+    (``_TRANSITIONS``), so it knows which event to watch for: component-size
+    threshold and component-black for OFC, the recovered-count threshold for
+    OFCNB, and end of the systematic pass for SOFC (detected from delivered
+    sequence numbers, so it works identically over the framed link).  During
+    completion it applies the degree-update policy.  Emits at most one
+    message per delivered symbol; COMPLETE subsumes anything else.
     """
 
     def __init__(
@@ -285,18 +289,12 @@ class Receiver:
         self.config = config
         self.policy = policy
         self.graph = DecodeGraph(k, track_values=track_values)
+        self._mirror, self._encoder_m = _START[type(config)]
         if isinstance(config, OFC):
-            self._mirror = Phase.BUILD_UP
             self._threshold = math.ceil(config.beta0 * k)
         elif isinstance(config, OFCNB):
-            self._mirror = Phase.DEGREE1_SEEDING
             self._threshold = math.ceil(config.gamma0 * k)
-        else:
-            self._mirror = Phase.SYSTEMATIC
-            self._threshold = k
-        self._encoder_m = 2 if isinstance(config, OFC) else 1
         self._marker: int | None = None
-        self._complete_sent = False
         self.feedback_sent = 0
 
     @property
@@ -310,52 +308,41 @@ class Receiver:
     def recovered_payloads(self) -> list[bytes | None]:
         return list(self.graph.values)
 
-    def _make(self, kind: FeedbackKind) -> FeedbackMsg:
+    def _send(self, kind: FeedbackKind) -> FeedbackMsg:
+        """Advance the mirror as the encoder will on ``kind``; returns the message."""
+        self._mirror = _next_phase(self.config, self._mirror, kind)
+        if self._mirror is Phase.COMPLETION:
+            self._encoder_m = optimal_degree(self.graph.beta(), self.k)
         self.feedback_sent += 1
         return FeedbackMsg(kind, self.graph.recovered_count)
-
-    def _sync_degree(self) -> None:
-        self._encoder_m = optimal_degree(self.graph.beta(), self.k)
 
     def receive(self, sym: CodedSymbol, seq: int | None = None) -> FeedbackMsg | None:
         """Process one delivered symbol; returns the feedback to send, if any."""
         cls, newly = self.graph.process(sym)
-        if self.graph.complete and not self._complete_sent:
-            self._complete_sent = True
-            self._mirror = Phase.DONE
-            return self._make(FeedbackKind.COMPLETE)
-        if self._mirror is Phase.BUILD_UP:
+        # Only the symbol that recovers the last node completes the graph.
+        if newly and self.graph.complete:
+            return self._send(FeedbackKind.COMPLETE)
+        mirror = self._mirror
+        if mirror is Phase.COMPLETION:
+            # beta only moves on a recovery; at an unchanged beta the encoder's
+            # degree was already synced or found not due.
+            if newly and degree_update_due(self._encoder_m, self.graph.beta(), self.k, self.policy):
+                return self._send(FeedbackKind.BETA_UPDATE)
+        elif mirror is Phase.BUILD_UP:
             if self.graph.largest_white_component() >= self._threshold:
                 # Remember one member of the threshold component; components
                 # only merge, so it stays inside as the component grows.
                 self._marker = cls.a if cls.case is Case.CASE2 else sym.indices[0]
-                self._mirror = Phase.DEGREE1_SEEDING
-                return self._make(FeedbackKind.LARGEST_COMPONENT_REACHED)
-            return None
-        if self._mirror is Phase.DEGREE1_SEEDING and isinstance(self.config, OFC):
-            if self._marker is not None and self.graph.color[self._marker]:
-                self._mirror = Phase.COMPLETION
-                self._sync_degree()
-                return self._make(FeedbackKind.COMPONENT_BLACK)
-            return None
-        if self._mirror is Phase.DEGREE1_SEEDING:   # OFCNB seeding
-            if self.graph.recovered_count >= self._threshold:
-                self._mirror = Phase.COMPLETION
-                self._sync_degree()
-                return self._make(FeedbackKind.BETA_UPDATE)
-            return None
-        if self._mirror is Phase.SYSTEMATIC:
+                return self._send(FeedbackKind.LARGEST_COMPONENT_REACHED)
+        elif mirror is Phase.DEGREE1_SEEDING:
+            if self._marker is not None:   # OFC: wait for the marked component
+                if self.graph.color[self._marker]:
+                    return self._send(FeedbackKind.COMPONENT_BLACK)
+            elif self.graph.recovered_count >= self._threshold:
+                return self._send(FeedbackKind.BETA_UPDATE)
+        elif mirror is Phase.SYSTEMATIC:
             # seq k-1 is the last systematic slot; any larger seq means the
             # sender has moved on and some tail frames were erased.
             if seq is not None and seq >= self.k - 1:
-                self._mirror = Phase.COMPLETION
-                self._sync_degree()
-                return self._make(FeedbackKind.BETA_UPDATE)
-            return None
-        if self._mirror is Phase.COMPLETION:
-            # beta only moves on a recovery; at an unchanged beta the encoder's
-            # degree was already synced or found not due.
-            if newly and degree_update_due(self._encoder_m, self.graph.beta(), self.k, self.policy):
-                self._sync_degree()
-                return self._make(FeedbackKind.BETA_UPDATE)
+                return self._send(FeedbackKind.BETA_UPDATE)
         return None

@@ -355,12 +355,16 @@ def monte_carlo(
 
 def ber_from_results(results: list[SessionResult], k: int, overhead_grid) -> list[tuple[float, float]]:
     """Mean unrecovered fraction at each overhead (sent = floor(overhead * k))."""
-    out = []
-    for o in overhead_grid:
-        n_sent = int(o * k)
-        missing = [(k - recovered_at_sent(r, n_sent)) / k for r in results]
-        out.append((float(o), float(np.mean(missing))))
-    return out
+    grid = list(overhead_grid)
+    n_sent = np.array([int(o * k) for o in grid], dtype=np.int64)
+    recovered = np.empty((len(grid), len(results)), dtype=np.int64)
+    for j, r in enumerate(results):
+        sent, rec = _recovery_arrays(r)
+        # rec prefixed with the 0 recovered before the first recovery
+        recovered[:, j] = np.concatenate(([0], rec))[np.searchsorted(sent, n_sent, side="right")]
+    missing = (k - recovered) / k
+    # one contiguous row per overhead: np.mean sums it as it summed the list
+    return [(float(o), float(np.mean(row))) for o, row in zip(grid, missing)]
 
 
 @dataclass(frozen=True)

@@ -123,6 +123,113 @@ def test_protocol_errors():
         enc3.on_feedback(FeedbackMsg(FeedbackKind.LARGEST_COMPONENT_REACHED, 0))
 
 
+LCR = FeedbackKind.LARGEST_COMPONENT_REACHED
+BLACK = FeedbackKind.COMPONENT_BLACK
+BETA = FeedbackKind.BETA_UPDATE
+COMPLETE = FeedbackKind.COMPLETE
+M0, M20, M30 = (optimal_degree(r / 50, 50) for r in (0, 20, 30))
+
+# Every reachable live phase at k=50: (scheme, label) -> (config, steps, phase,
+# current_m, known_recovered).  A step is a feedback message or a count of
+# symbols to draw; "self-completion" is SOFC past its index pass with no
+# feedback seen.
+WALKS = {
+    ("ofc", "build-up"): (OFC(), [], Phase.BUILD_UP, 2, 0),
+    ("ofc", "seeding"): (OFC(), [FeedbackMsg(LCR, 0)], Phase.DEGREE1_SEEDING, 1, 0),
+    ("ofc", "completion"): (
+        OFC(), [FeedbackMsg(LCR, 0), FeedbackMsg(BLACK, 20)], Phase.COMPLETION, M20, 20
+    ),
+    ("ofcnb", "seeding"): (OFCNB(0.1), [], Phase.DEGREE1_SEEDING, 1, 0),
+    ("ofcnb", "completion"): (OFCNB(0.1), [FeedbackMsg(BETA, 20)], Phase.COMPLETION, M20, 20),
+    ("sofc", "systematic"): (SOFC(), [], Phase.SYSTEMATIC, 1, 0),
+    ("sofc", "completion"): (SOFC(), [FeedbackMsg(BETA, 20)], Phase.COMPLETION, M20, 20),
+    ("sofc", "self-completion"): (SOFC(), [51], Phase.COMPLETION, M0, 0),
+}
+
+# (scheme, label, kind) -> (phase, current_m, known_recovered) after a message
+# with recovered=30, or the ProtocolError text (state left unchanged).
+TRANSITIONS = {
+    ("ofc", "build-up", LCR): (Phase.DEGREE1_SEEDING, 1, 0),
+    ("ofc", "build-up", BLACK): "unexpected COMPONENT_BLACK in phase BUILD_UP",
+    ("ofc", "build-up", BETA): "unexpected BETA_UPDATE in phase BUILD_UP",
+    ("ofc", "build-up", COMPLETE): (Phase.DONE, 2, 30),
+    ("ofc", "seeding", LCR): "unexpected LARGEST_COMPONENT_REACHED in phase DEGREE1_SEEDING",
+    ("ofc", "seeding", BLACK): (Phase.COMPLETION, M30, 30),
+    ("ofc", "seeding", BETA): "unexpected BETA_UPDATE in phase DEGREE1_SEEDING",
+    ("ofc", "seeding", COMPLETE): (Phase.DONE, 1, 30),
+    ("ofc", "completion", LCR): "unexpected LARGEST_COMPONENT_REACHED in phase COMPLETION",
+    ("ofc", "completion", BLACK): "unexpected COMPONENT_BLACK in phase COMPLETION",
+    ("ofc", "completion", BETA): (Phase.COMPLETION, M30, 30),
+    ("ofc", "completion", COMPLETE): (Phase.DONE, M20, 30),
+    ("ofcnb", "seeding", LCR): "unexpected LARGEST_COMPONENT_REACHED in phase DEGREE1_SEEDING",
+    ("ofcnb", "seeding", BLACK): "unexpected COMPONENT_BLACK in phase DEGREE1_SEEDING",
+    ("ofcnb", "seeding", BETA): (Phase.COMPLETION, M30, 30),
+    ("ofcnb", "seeding", COMPLETE): (Phase.DONE, 1, 30),
+    ("ofcnb", "completion", LCR): "unexpected LARGEST_COMPONENT_REACHED in phase COMPLETION",
+    ("ofcnb", "completion", BLACK): "unexpected COMPONENT_BLACK in phase COMPLETION",
+    ("ofcnb", "completion", BETA): (Phase.COMPLETION, M30, 30),
+    ("ofcnb", "completion", COMPLETE): (Phase.DONE, M20, 30),
+    ("sofc", "systematic", LCR): "unexpected LARGEST_COMPONENT_REACHED in phase SYSTEMATIC",
+    ("sofc", "systematic", BLACK): "unexpected COMPONENT_BLACK in phase SYSTEMATIC",
+    ("sofc", "systematic", BETA): (Phase.COMPLETION, M30, 30),
+    ("sofc", "systematic", COMPLETE): (Phase.DONE, 1, 30),
+    ("sofc", "completion", LCR): "unexpected LARGEST_COMPONENT_REACHED in phase COMPLETION",
+    ("sofc", "completion", BLACK): "unexpected COMPONENT_BLACK in phase COMPLETION",
+    ("sofc", "completion", BETA): (Phase.COMPLETION, M30, 30),
+    ("sofc", "completion", COMPLETE): (Phase.DONE, M20, 30),
+    ("sofc", "self-completion", LCR): "unexpected LARGEST_COMPONENT_REACHED in phase COMPLETION",
+    ("sofc", "self-completion", BLACK): "unexpected COMPONENT_BLACK in phase COMPLETION",
+    ("sofc", "self-completion", BETA): (Phase.COMPLETION, M30, 30),
+    ("sofc", "self-completion", COMPLETE): (Phase.DONE, M0, 30),
+}
+
+
+def state(enc):
+    return (enc.phase, enc.current_m, enc.known_recovered)
+
+
+def walk_encoder(scheme, label):
+    config, steps, phase, m, recovered = WALKS[scheme, label]
+    enc = make_encoder(config, k=50)
+    for step in steps:
+        if isinstance(step, FeedbackMsg):
+            enc.on_feedback(step)
+        else:
+            for _ in range(step):
+                enc.next_symbol()
+    assert state(enc) == (phase, m, recovered)
+    return enc
+
+
+@pytest.mark.parametrize("scheme,label,kind", sorted(TRANSITIONS, key=str))
+def test_transition_matrix(scheme, label, kind):
+    enc = walk_encoder(scheme, label)
+    expected = TRANSITIONS[scheme, label, kind]
+    if isinstance(expected, str):
+        before = state(enc)
+        with pytest.raises(ProtocolError) as err:
+            enc.on_feedback(FeedbackMsg(kind, 30))
+        assert str(err.value) == expected
+        assert state(enc) == before
+    else:
+        enc.on_feedback(FeedbackMsg(kind, 30))
+        assert state(enc) == expected
+        if enc.phase is not Phase.DONE:
+            assert enc.next_symbol().degree == enc.current_m
+
+
+@pytest.mark.parametrize("scheme,label", sorted(WALKS))
+def test_done_rejects_everything(scheme, label):
+    enc = walk_encoder(scheme, label)
+    enc.on_feedback(FeedbackMsg(COMPLETE, 50))
+    for kind in FeedbackKind:
+        with pytest.raises(ProtocolError, match="^feedback after session completion$"):
+            enc.on_feedback(FeedbackMsg(kind, 30))
+    with pytest.raises(ProtocolError, match="^session already complete$"):
+        enc.next_symbol()
+    assert (enc.phase, enc.known_recovered) == (Phase.DONE, 50)
+
+
 def test_degree_update_rule():
     assert optimal_degree(0.51) == 3
     assert degree_update_due(2, 0.51, 1000, EveryDegreeChange())

@@ -116,6 +116,29 @@ def test_golden_sessions_large_k(scheme):
     assert (r.sent_total, r.feedback_total, digest) == GOLDEN_LARGE_K[scheme]
 
 
+# (sent_total, feedback_total, SHA-256 of repr(trace)) at eps=0.1, seed=3:
+# long degree-1 seeding stretches pin the encoder's degree-1 draws, through
+# random.sample's pool branch at k <= 21 and the inline set branch at k >= 22.
+GOLDEN_HEAVY_SEEDING = {
+    (0.3, 5): (8, 3, "29b11abf54cacbd8cb06084e85ce9eb21629b4acffa7ce7e8aca6c9e9c177129"),
+    (0.3, 21): (39, 6, "083556445be9557330bd14b8337b1b45031dd7b59bcfb0b1b0d710852a5238d6"),
+    (0.3, 22): (31, 8, "df81201b6d3aad551a387f8f66f53627956fb00d76e3362c5a6a6873787c6783"),
+    (0.3, 1000): (1450, 41, "0590562c0831aadfcfacf74e1d3b438e19dc50a542d9a16339d09e7546aa0d74"),
+    (0.5, 5): (8, 2, "5d3ff81de8dd31ceba26b93e230c447aa8c2909bec085d57a9b96d8c36cd553b"),
+    (0.5, 21): (37, 6, "3dfabc733fc3890ab32cb9e7ddef84027346790c5635d5bb9aa2376f38b2a164"),
+    (0.5, 22): (40, 5, "a5b8a6452ca734b67cdf2338c50eafaba96a8995153f59b51d3bcc0807ece2f5"),
+    (0.5, 1000): (1571, 40, "2a1695530bb914e944b64313f2081d00a8a9f2288c9b0618655446af6e426ba0"),
+}
+
+
+@pytest.mark.parametrize("mode", ["counting", "full"])
+@pytest.mark.parametrize("gamma0,k", sorted(GOLDEN_HEAVY_SEEDING))
+def test_golden_sessions_heavy_seeding(gamma0, k, mode):
+    r = run_session(OFCNB(gamma0), k, 0.1, seed=3, payload_mode=mode)
+    digest = hashlib.sha256(repr(r.trace).encode()).hexdigest()
+    assert (r.sent_total, r.feedback_total, digest) == GOLDEN_HEAVY_SEEDING[gamma0, k]
+
+
 def test_ofc_dead_zone():
     firsts = []
     for t in range(40):

@@ -165,12 +165,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, trials_default=200):
+    def common(p):
         p.add_argument("--k", type=int, default=1000, help="source symbols (default 1000)")
         p.add_argument("--eps", type=float, default=0.0, help="erasure rate (default 0)")
         p.add_argument("--seed", type=int, default=None,
                        help="master seed (default: FOUNTAIN_LAB_SEED or 0)")
-        p.add_argument("--trials", type=int, default=trials_default)
+        p.add_argument("--trials", type=int, default=200)
         p.add_argument("--jobs", type=int, default=1, help="trial parallelism (output-invariant)")
 
     def scheme_flags(p):
@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1000)
     p.add_argument("--eps", type=float, default=0.0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_predict, seed=None)
+    p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("simulate", help="Monte Carlo aggregate curve (CSV + JSON summary)")
     scheme_flags(p)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 __all__ = [
@@ -131,12 +131,6 @@ class Classification(NamedTuple):
     xor: bytes | None = None      # CASE2: residual edge label
 
 
-@dataclass
-class _Stats:
-    received: int = 0
-    by_case: Counter = field(default_factory=Counter)
-
-
 class DecodeGraph:
     """Union-find decoding graph over k source nodes.
 
@@ -159,7 +153,6 @@ class DecodeGraph:
         self.recovered_count = 0
         self._largest = 1
         self._largest_dirty = False
-        self.stats = _Stats()
 
     # -- union-find ----------------------------------------------------
 
@@ -280,8 +273,6 @@ class DecodeGraph:
     def process(self, sym: CodedSymbol) -> tuple[Classification, list[tuple[int, bytes | None]]]:
         """Classify and apply one symbol; returns (classification, newly recovered)."""
         cls = self.classify(sym)
-        self.stats.received += 1
-        self.stats.by_case[cls.case] += 1
         if cls.case is Case.CASE1:
             return cls, self.apply_case1(cls.target, cls.value)  # type: ignore[arg-type]
         if cls.case is Case.CASE2:

@@ -256,7 +256,12 @@ class Encoder:
         return self._emit(self._sample(self.current_m))
 
     def on_feedback(self, msg: FeedbackMsg) -> None:
-        self.phase = phase = _next_phase(self.config, self.phase, msg.kind)
+        phase = _next_phase(self.config, self.phase, msg.kind)
+        # Only COMPLETE may report every node recovered.
+        most = self.k if phase is Phase.DONE else self.k - 1
+        if not 0 <= msg.recovered <= most:
+            raise ProtocolError(f"recovered {msg.recovered} outside 0..{most} in {msg.kind.name}")
+        self.phase = phase
         if phase is Phase.DEGREE1_SEEDING:
             # OFC's build-up is over; seeding needs no recovery estimate.
             self.current_m = 1

@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 from .graph import CodedSymbol, SourceBlock
 from .schemes import EveryDegreeChange, FeedbackKind, FeedbackMsg, FeedbackPolicy, SchemeConfig
@@ -116,8 +116,18 @@ class SessionHeader:
     original_len: int
 
 
+# Each frame type's fixed fields: the common start, then the type's own
+# fields up to its indices (data) or its CRC.
+_START = struct.Struct(">2sBB")                         # magic version type
+_DATA = struct.Struct(_START.format + "QQH")            # session_id seq_no degree
+_FEEDBACK = struct.Struct(_START.format + "QBI")        # session_id fb_kind recovered
+_HEADER = struct.Struct(_START.format + "QIHQ")         # session_id k symbol_size original_len
+_PAYLOAD_LEN = struct.Struct(">H")
+_CRC = struct.Struct(">I")
+
+
 def _seal(body: bytes) -> bytes:
-    return body + struct.pack(">I", zlib.crc32(body))
+    return body + _CRC.pack(zlib.crc32(body))
 
 
 def encode_data(sym: CodedSymbol, session_id: int, seq_no: int) -> bytes:
@@ -127,23 +137,17 @@ def encode_data(sym: CodedSymbol, session_id: int, seq_no: int) -> bytes:
         raise ValueError("payload too large for the 2-byte length field")
     if sym.degree > 0xFFFF:
         raise ValueError("degree too large for the 2-byte degree field")
-    body = MAGIC + struct.pack(">BBQQH", VERSION, TYPE_DATA, session_id, seq_no, sym.degree)
-    body += struct.pack(f">{sym.degree}I", *sym.indices)
-    body += struct.pack(">H", len(payload)) + payload
-    return _seal(body)
+    head = _DATA.pack(MAGIC, VERSION, TYPE_DATA, session_id, seq_no, sym.degree)
+    indices = struct.pack(f">{sym.degree}I", *sym.indices)
+    return _seal(head + indices + _PAYLOAD_LEN.pack(len(payload)) + payload)
 
 
 def encode_feedback(msg: FeedbackMsg, session_id: int) -> bytes:
-    body = MAGIC + struct.pack(">BBQBI", VERSION, TYPE_FEEDBACK, session_id, int(msg.kind), msg.recovered)
-    return _seal(body)
+    return _seal(_FEEDBACK.pack(MAGIC, VERSION, TYPE_FEEDBACK, session_id, int(msg.kind), msg.recovered))
 
 
 def encode_header(header: SessionHeader) -> bytes:
-    body = MAGIC + struct.pack(
-        ">BBQIHQ", VERSION, TYPE_HEADER, header.session_id,
-        header.k, header.symbol_size, header.original_len,
-    )
-    return _seal(body)
+    return _seal(_HEADER.pack(MAGIC, VERSION, TYPE_HEADER, *astuple(header)))
 
 
 def _need(buf: bytes, n: int) -> None:
@@ -151,57 +155,48 @@ def _need(buf: bytes, n: int) -> None:
         raise FrameError("truncated", f"need {n} bytes, have {len(buf)}")
 
 
+def _sealed(buf: bytes, n: int) -> None:
+    """Check that ``buf`` is exactly ``n`` bytes plus their CRC-32."""
+    end = n + _CRC.size
+    _need(buf, end)
+    if len(buf) != end:
+        raise FrameError("length-mismatch", f"{len(buf)} != {end}")
+    if zlib.crc32(buf[:n]) != _CRC.unpack_from(buf, n)[0]:
+        raise FrameError("crc-mismatch")
+
+
 def decode_frame(buf: bytes) -> DataFrame | FeedbackFrame | SessionHeader:
     """Parse exactly one frame; anything else raises FrameError with a code."""
-    _need(buf, 4)
-    if buf[:2] != MAGIC:
-        raise FrameError("bad-magic", buf[:2].hex())
-    if buf[2] != VERSION:
-        raise FrameError("bad-version", str(buf[2]))
-    ftype = buf[3]
+    _need(buf, _START.size)
+    magic, version, ftype = _START.unpack_from(buf)
+    if magic != MAGIC:
+        raise FrameError("bad-magic", magic.hex())
+    if version != VERSION:
+        raise FrameError("bad-version", str(version))
     if ftype == TYPE_DATA:
-        _need(buf, 22)
-        session_id, seq_no, degree = struct.unpack(">QQH", buf[4:22])
-        total = 22 + 4 * degree + 2
+        _need(buf, _DATA.size)
+        _, _, _, session_id, seq_no, degree = _DATA.unpack_from(buf)
+        total = _DATA.size + 4 * degree + _PAYLOAD_LEN.size
         _need(buf, total)
-        indices = struct.unpack(f">{degree}I", buf[22:22 + 4 * degree]) if degree else ()
-        (payload_len,) = struct.unpack(">H", buf[total - 2:total])
-        end = total + payload_len + 4
-        _need(buf, end)
-        if len(buf) != end:
-            raise FrameError("length-mismatch", f"{len(buf)} != {end}")
-        _check_crc(buf)
-        payload = buf[total:total + payload_len]
+        (payload_len,) = _PAYLOAD_LEN.unpack_from(buf, total - _PAYLOAD_LEN.size)
+        _sealed(buf, total + payload_len)
+        indices = struct.unpack_from(f">{degree}I", buf, _DATA.size)
         if degree < 1 or any(b <= a for a, b in zip(indices, indices[1:])):
             raise FrameError("malformed-frame", "indices not strictly increasing")
-        return DataFrame(session_id, seq_no, indices, payload)
+        return DataFrame(session_id, seq_no, indices, buf[total:total + payload_len])
     if ftype == TYPE_FEEDBACK:
-        end = 21
-        _need(buf, end)
-        if len(buf) != end:
-            raise FrameError("length-mismatch", f"{len(buf)} != {end}")
-        _check_crc(buf)
-        session_id, kind, recovered = struct.unpack(">QBI", buf[4:17])
+        _sealed(buf, _FEEDBACK.size)
+        _, _, _, session_id, kind, recovered = _FEEDBACK.unpack_from(buf)
         if kind > 3:
             raise FrameError("malformed-frame", f"feedback kind {kind}")
         return FeedbackFrame(session_id, FeedbackKind(kind), recovered)
     if ftype == TYPE_HEADER:
-        end = 30
-        _need(buf, end)
-        if len(buf) != end:
-            raise FrameError("length-mismatch", f"{len(buf)} != {end}")
-        _check_crc(buf)
-        session_id, k, symbol_size, original_len = struct.unpack(">QIHQ", buf[4:26])
+        _sealed(buf, _HEADER.size)
+        _, _, _, session_id, k, symbol_size, original_len = _HEADER.unpack_from(buf)
         if k < 2 or symbol_size < 1:
             raise FrameError("malformed-frame", f"k={k}, symbol_size={symbol_size}")
         return SessionHeader(session_id, k, symbol_size, original_len)
     raise FrameError("bad-frame-type", str(ftype))
-
-
-def _check_crc(buf: bytes) -> None:
-    (expect,) = struct.unpack(">I", buf[-4:])
-    if zlib.crc32(buf[:-4]) != expect:
-        raise FrameError("crc-mismatch")
 
 
 # -- file transfer over the framed link -------------------------------------
@@ -225,7 +220,7 @@ class _FramedLink:
 
     def receive(self, frame: bytes) -> tuple[CodedSymbol, int]:
         parsed = _expect(decode_frame(frame), DataFrame)
-        return CodedSymbol(parsed.indices, parsed.payload), parsed.seq_no
+        return CodedSymbol._trusted(parsed.indices, parsed.payload), parsed.seq_no
 
     def feedback(self, msg: FeedbackMsg) -> FeedbackMsg:
         fb = _expect(decode_frame(encode_feedback(msg, self.session_id)), FeedbackFrame)
@@ -263,6 +258,8 @@ def _split_blocks(data: bytes, symbol_size: int) -> tuple[SourceBlock, int]:
         # the input spans two of them.
         symbol_size = math.ceil(len(data) / 2)
         k = 2
+    if symbol_size > 0xFFFF:
+        raise ValueError(f"symbol_size {symbol_size} too large for the 2-byte header field")
     padded = data.ljust(k * symbol_size, b"\x00")
     blocks = tuple(padded[i * symbol_size:(i + 1) * symbol_size] for i in range(k))
     return SourceBlock(k, blocks), symbol_size

@@ -159,3 +159,21 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
     run("simulate", "--scheme", "sofc", "--k", "100", "--eps", "0.1",
         "--trials", "1", "--seed", "99", "--out", str(out2))
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("size,symbol_size", [(200_000, 70_000), (150_000, 200_000)])
+def test_transfer_symbol_size_too_large_is_usage_error(tmp_path, capsys, size, symbol_size):
+    src = tmp_path / "f.bin"
+    src.write_bytes(random.Random(6).randbytes(size))
+    assert run("transfer", "--in", str(src), "--scheme", "sofc",
+               "--symbol-size", str(symbol_size)) == 2
+    assert "error: symbol_size" in capsys.readouterr().err
+
+
+def test_transfer_budget_exhausted_exit_code(tmp_path, capsys):
+    src, dst = tmp_path / "f.bin", tmp_path / "f.out"
+    src.write_bytes(random.Random(7).randbytes(4096))
+    assert run("transfer", "--in", str(src), "--scheme", "sofc", "--eps", "0.99",
+               "--seed", "1", "--symbol-size", "64", "--out", str(dst)) == 3
+    assert "transfer failed: budget exceeded after" in capsys.readouterr().err
+    assert not dst.exists()

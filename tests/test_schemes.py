@@ -343,3 +343,36 @@ def test_useful_prob_threshold_comparison_is_strict():
     m_new = optimal_degree(beta)
     gain = useful_prob(m_new, beta) - useful_prob(2, beta)
     assert not degree_update_due(2, beta, 1000, Threshold(gain + 1e-12))
+
+
+# (scheme, label, kind) accepted at k=50 -> recovered counts outside its range
+OUT_OF_RANGE = {
+    ("ofc", "build-up", LCR): (-1, 50),
+    ("ofc", "seeding", BLACK): (-1, 50),
+    ("ofcnb", "seeding", BETA): (-1, 50),
+    ("sofc", "systematic", BETA): (-1, 50),
+    ("ofc", "completion", BETA): (-1, 50),
+    ("ofc", "build-up", COMPLETE): (-1, 51),
+    ("sofc", "self-completion", COMPLETE): (-1, 51),
+}
+
+
+@pytest.mark.parametrize("scheme,label,kind", sorted(OUT_OF_RANGE, key=str))
+def test_out_of_range_recovered_is_a_protocol_error(scheme, label, kind):
+    enc = walk_encoder(scheme, label)
+    before = state(enc)
+    most = 50 if kind is COMPLETE else 49
+    for recovered in OUT_OF_RANGE[scheme, label, kind]:
+        with pytest.raises(ProtocolError, match=f"^recovered {recovered} outside 0..{most}"):
+            enc.on_feedback(FeedbackMsg(kind, recovered))
+        assert state(enc) == before
+    enc.on_feedback(FeedbackMsg(kind, most))
+
+
+def test_phase_errors_come_before_range_errors():
+    enc = walk_encoder("ofc", "build-up")
+    with pytest.raises(ProtocolError, match="^unexpected BETA_UPDATE in phase BUILD_UP$"):
+        enc.on_feedback(FeedbackMsg(BETA, 50))
+    enc.on_feedback(FeedbackMsg(COMPLETE, 50))
+    with pytest.raises(ProtocolError, match="^feedback after session completion$"):
+        enc.on_feedback(FeedbackMsg(COMPLETE, 51))

@@ -217,3 +217,61 @@ def test_transport_matches_in_memory_simulator(config, eps):
     wire_recoveries = [(p.sent - offset, p.recovered) for p in report.trace if p.event is None]
     sim_recoveries = [(p.sent, p.recovered) for p in sim.trace if p.event is None]
     assert wire_recoveries == sim_recoveries
+
+
+@pytest.mark.parametrize("good", [
+    encode_feedback(FeedbackMsg(FeedbackKind.COMPONENT_BLACK, 9), 3),
+    encode_header(SessionHeader(3, 64, 1024, 65000)),
+], ids=["feedback", "header"])
+def test_fixed_size_frames_check_length_then_crc(good):
+    for buf, code in [
+        (good[:-1], "truncated"),
+        (corrupt(good, len(good) - 1), "crc-mismatch"),
+        (corrupt(good, 5), "crc-mismatch"),
+    ]:
+        with pytest.raises(FrameError) as e:
+            decode_frame(buf)
+        assert e.value.code == code
+    with pytest.raises(FrameError, match=f"^truncated: need {len(good)} bytes, have 4$"):
+        decode_frame(good[:4])
+    with pytest.raises(FrameError, match=f"^length-mismatch: {len(good) + 1} != {len(good)}$"):
+        decode_frame(good + b"\x00")
+
+
+def test_crc_valid_feedback_with_unknown_kind_is_malformed():
+    import struct
+    import zlib
+
+    good = encode_feedback(FeedbackMsg(FeedbackKind.COMPLETE, 9), 3)
+    body = bytearray(good[:-4])
+    body[12] = 4                        # fb_kind, after the 4-byte start and session_id
+    buf = bytes(body) + struct.pack(">I", zlib.crc32(body))
+    with pytest.raises(FrameError, match="^malformed-frame: feedback kind 4$") as e:
+        decode_frame(buf)
+    assert e.value.code == "malformed-frame"
+
+
+@pytest.mark.parametrize("k,symbol_size", [(1, 1024), (64, 0)])
+def test_crc_valid_header_with_bad_geometry_is_malformed(k, symbol_size):
+    buf = encode_header(SessionHeader(3, k, symbol_size, 100))
+    with pytest.raises(FrameError, match=f"^malformed-frame: k={k}, symbol_size={symbol_size}$") as e:
+        decode_frame(buf)
+    assert e.value.code == "malformed-frame"
+
+
+def test_encode_data_rejects_fields_too_wide():
+    with pytest.raises(ValueError, match="payload too large"):
+        encode_data(CodedSymbol((0,), bytes(65536)), 1, 0)
+    with pytest.raises(ValueError, match="degree too large"):
+        encode_data(CodedSymbol(tuple(range(65536)), b""), 1, 0)
+
+
+def test_transfer_rejects_symbol_size_above_header_field():
+    with pytest.raises(ValueError, match="symbol_size 70000"):
+        transfer(random.Random(5).randbytes(200_000), SOFC(), 0.0, symbol_size=70000)
+    # one block of input is split into two, each still too wide
+    with pytest.raises(ValueError, match="symbol_size 75000"):
+        transfer(random.Random(5).randbytes(150_000), SOFC(), 0.0, symbol_size=200_000)
+    data = random.Random(5).randbytes(2 * 65535)
+    out, report = transfer(data, SOFC(), 0.0, seed=1, symbol_size=65535)
+    assert out == data and (report.k, report.symbol_size) == (2, 65535)

@@ -42,6 +42,9 @@ def _seed(args) -> int:
 
 def _scheme(args) -> SchemeConfig:
     name = args.scheme
+    beta0 = getattr(args, "beta0", None)   # only simulate has --beta0
+    if beta0 is not None and name != "ofc":
+        raise UsageError(f"--beta0 is not valid with --scheme {name}")
     if name == "ofcnb":
         if args.gamma0 is None:
             raise UsageError("--gamma0 is required with --scheme ofcnb")
@@ -50,7 +53,7 @@ def _scheme(args) -> SchemeConfig:
         raise UsageError(f"--gamma0 is not valid with --scheme {name}")
     if name == "sofc":
         return SOFC()
-    return OFC(getattr(args, "beta0", 0.5))
+    return OFC(0.5 if beta0 is None else beta0)
 
 
 def _policy(args):
@@ -192,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo aggregate curve (CSV + JSON summary)")
     scheme_flags(p)
     common(p)
-    p.add_argument("--beta0", type=float, default=0.5, help="component threshold (ofc only)")
+    p.add_argument("--beta0", type=float, default=None, help="component threshold (ofc only)")
     policy_flags(p)
     p.add_argument("--budget", type=int, default=None,
                    help="max sent symbols per trial (default 50*k)")

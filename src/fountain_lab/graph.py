@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 __all__ = [
@@ -81,10 +81,17 @@ class CodedSymbol:
 
 @dataclass(frozen=True)
 class SourceBlock:
-    """The k original payloads, all of identical length."""
+    """The k original payloads, all of identical length.
+
+    ``__post_init__`` also converts each payload to an int once, into
+    ``_ints`` (outside ``==``, ``hash`` and ``repr``), so that ``encode``
+    XORs ints and converts to bytes once per symbol.  A counting-mode block
+    (empty payloads) builds no table: ``_ints`` is ``()``.
+    """
 
     k: int
     symbols: tuple[bytes, ...]
+    _ints: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 2:
@@ -94,6 +101,8 @@ class SourceBlock:
         sizes = {len(s) for s in self.symbols}
         if len(sizes) != 1:
             raise ValueError(f"payloads must share one length, got {sorted(sizes)}")
+        ints = tuple(int.from_bytes(s, "big") for s in self.symbols) if self.symbol_size else ()
+        object.__setattr__(self, "_ints", ints)
 
     @property
     def symbol_size(self) -> int:
@@ -106,10 +115,13 @@ class SourceBlock:
 
     def encode(self, indices: tuple[int, ...]) -> bytes:
         """XOR of the payloads selected by ``indices``."""
-        out = self.symbols[indices[0]]
-        for i in indices[1:]:
-            out = xor_bytes(out, self.symbols[i])
-        return out
+        ints = self._ints
+        if len(indices) == 1 or not ints:   # without a table every payload is b""
+            return self.symbols[indices[0]]
+        out = 0
+        for i in indices:
+            out ^= ints[i]
+        return out.to_bytes(self.symbol_size, "big")
 
 
 class Case(enum.Enum):

@@ -74,6 +74,7 @@ ERROR_CODES = (
     "length-mismatch",
     "crc-mismatch",
     "malformed-frame",
+    "wrong-session",
 )
 
 
@@ -218,12 +219,18 @@ class _FramedLink:
     def send(self, sym: CodedSymbol, slot: int) -> bytes:
         return encode_data(sym, self.session_id, slot)
 
+    def _decode(self, buf: bytes, frame_type):
+        frame = _expect(decode_frame(buf), frame_type)
+        if frame.session_id != self.session_id:
+            raise FrameError("wrong-session", f"{frame.session_id} != {self.session_id}")
+        return frame
+
     def receive(self, frame: bytes) -> tuple[CodedSymbol, int]:
-        parsed = _expect(decode_frame(frame), DataFrame)
+        parsed = self._decode(frame, DataFrame)
         return CodedSymbol._trusted(parsed.indices, parsed.payload), parsed.seq_no
 
     def feedback(self, msg: FeedbackMsg) -> FeedbackMsg:
-        fb = _expect(decode_frame(encode_feedback(msg, self.session_id)), FeedbackFrame)
+        fb = self._decode(encode_feedback(msg, self.session_id), FeedbackFrame)
         return FeedbackMsg(fb.kind, fb.recovered)
 
 

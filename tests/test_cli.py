@@ -177,3 +177,15 @@ def test_transfer_budget_exhausted_exit_code(tmp_path, capsys):
                "--seed", "1", "--symbol-size", "64", "--out", str(dst)) == 3
     assert "transfer failed: budget exceeded after" in capsys.readouterr().err
     assert not dst.exists()
+
+
+def test_beta0_only_with_ofc(tmp_path, capsys):
+    out = tmp_path / "b.csv"
+    base = ["--k", "100", "--trials", "1", "--seed", "1", "--out", str(out)]
+    for scheme in (["--scheme", "sofc"], ["--scheme", "ofcnb", "--gamma0", "0.1"]):
+        assert run("simulate", *scheme, "--beta0", "0.9", *base) == 2
+        assert f"--beta0 is not valid with --scheme {scheme[1]}" in capsys.readouterr().err
+    assert not out.exists()
+    assert run("simulate", "--scheme", "ofc", "--beta0", "0.9", *base) == 0
+    assert run("simulate", "--scheme", "ofc", *base) == 0
+    assert run("simulate", "--scheme", "sofc", *base) == 0

@@ -276,3 +276,42 @@ def test_counting_mode_classification_matches_full_mode():
         cb, _ = bare.process(CodedSymbol(indices))
         assert cf.case is cb.case
         assert full.recovered_count == bare.recovered_count
+
+
+@pytest.mark.parametrize("size", [1, 7, 64, 1024])
+def test_encode_equals_chained_xor_bytes(size):
+    rng = random.Random(size)
+    k = 40
+    payloads = [rng.randbytes(size) for _ in range(k)]
+    payloads[0] = bytes(size)                              # all zero
+    payloads[1] = bytes(size - 1) + b"\x01"                # leading zero bytes
+    payloads[2] = payloads[3]                              # XOR to all zero
+    blk = SourceBlock(k, tuple(payloads))
+    picks = [(0, 1), (2, 3), (0, 2, 3), (1,), (0,)]
+    picks += [tuple(sorted(rng.sample(range(k), rng.randint(1, 20)))) for _ in range(200)]
+    for t in picks:
+        want = payloads[t[0]]
+        for i in t[1:]:
+            want = xor_bytes(want, payloads[i])
+        got = blk.encode(t)
+        assert type(got) is bytes and got == want
+
+
+def test_encode_degree_one_returns_the_source_payload():
+    blk = SourceBlock.random(6, 16, random.Random(4))
+    for i in range(6):
+        assert blk.encode((i,)) is blk.symbols[i]
+
+
+def test_source_block_int_table_is_outside_eq_hash_and_repr():
+    payloads = tuple(random.Random(8).randbytes(3) for _ in range(4))
+    a, b = SourceBlock(4, payloads), SourceBlock(4, tuple(bytes(p) for p in payloads))
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == f"SourceBlock(k=4, symbols={payloads!r})"
+    assert a._ints == tuple(int.from_bytes(p, "big") for p in payloads)
+
+
+def test_counting_mode_block_holds_no_int_table():
+    blk = SourceBlock(5, (b"",) * 5)
+    assert blk._ints == ()
+    assert blk.encode((0, 3)) == b"" and blk.encode((2,)) == b""

@@ -275,3 +275,54 @@ def test_transfer_rejects_symbol_size_above_header_field():
     data = random.Random(5).randbytes(2 * 65535)
     out, report = transfer(data, SOFC(), 0.0, seed=1, symbol_size=65535)
     assert out == data and (report.k, report.symbol_size) == (2, 65535)
+
+
+def test_framed_link_rejects_data_frame_from_another_session():
+    link = _FramedLink(1)
+    with pytest.raises(FrameError) as e:
+        link.receive(encode_data(CodedSymbol((0,), b"ab"), 2, 0))
+    assert e.value.code == "wrong-session"
+    assert str(e.value) == "wrong-session: 2 != 1"
+
+
+def test_framed_link_rejects_feedback_frame_from_another_session(monkeypatch):
+    import fountain_lab.wire as wire
+
+    real = wire.encode_feedback
+    monkeypatch.setattr(wire, "encode_feedback", lambda msg, session_id: real(msg, session_id + 1))
+    with pytest.raises(FrameError) as e:
+        _FramedLink(7).feedback(FeedbackMsg(FeedbackKind.BETA_UPDATE, 3))
+    assert e.value.code == "wrong-session"
+    assert str(e.value) == "wrong-session: 8 != 7"
+
+
+# sha256 of each golden input: 64 blocks less 5 bytes, random.Random(symbol_size)
+GOLDEN_INPUT_SHA256 = {
+    64: "66f02252a1071a4a6cddbe247b118a44b9e3df4562babe7d8db78288f2fd5a3b",
+    1024: "1390fe577a1e4838327809fd15fcb1c1e6a727249568066741e8871ccdd47c82",
+}
+# (frames_sent, frames_delivered, header_attempts, feedback_frames, per_phase_sent,
+# complete) at seed 3; payload bytes never steer the protocol, so both symbol
+# sizes share one row
+GOLDEN_TRANSFER_REPORTS = {
+    ("ofc", 0.0): (71, 70, 1, 8, {"build-up": 41, "degree1-seeding": 1, "completion": 28}, True),
+    ("ofc", 0.2): (102, 81, 1, 11, {"build-up": 55, "degree1-seeding": 1, "completion": 45}, True),
+    ("ofcnb", 0.0): (69, 68, 1, 11, {"degree1-seeding": 1, "completion": 67}, True),
+    ("ofcnb", 0.2): (94, 75, 1, 11, {"degree1-seeding": 1, "completion": 92}, True),
+    ("sofc", 0.0): (65, 64, 1, 1, {"systematic": 64}, True),
+    ("sofc", 0.2): (92, 73, 1, 8, {"systematic": 64, "completion": 27}, True),
+}
+GOLDEN_CONFIGS = {"ofc": OFC(), "ofcnb": OFCNB(0.01), "sofc": SOFC()}
+
+
+@pytest.mark.parametrize("symbol_size", [64, 1024])
+@pytest.mark.parametrize("scheme,eps", list(GOLDEN_TRANSFER_REPORTS))
+def test_golden_transfer(scheme, eps, symbol_size):
+    import hashlib
+
+    data = random.Random(symbol_size).randbytes(64 * symbol_size - 5)
+    out, r = transfer(data, GOLDEN_CONFIGS[scheme], eps, seed=3, symbol_size=symbol_size)
+    assert hashlib.sha256(out).hexdigest() == GOLDEN_INPUT_SHA256[symbol_size]
+    got = (r.frames_sent, r.frames_delivered, r.header_attempts, r.feedback_frames,
+           r.per_phase_sent, r.complete)
+    assert got == GOLDEN_TRANSFER_REPORTS[scheme, eps]

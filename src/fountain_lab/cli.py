@@ -37,7 +37,12 @@ def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("FOUNTAIN_LAB_SEED")
-    return int(env) if env else 0
+    if not env:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise UsageError(f"FOUNTAIN_LAB_SEED must be an integer, got {env!r}") from None
 
 
 def _scheme(args) -> SchemeConfig:

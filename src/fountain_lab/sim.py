@@ -309,6 +309,8 @@ def monte_carlo(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     milestones = milestone_grid(k)
     tasks = [(config, k, eps, policy, seed, t, budget, milestones) for t in range(trials)]
     if jobs > 1:
@@ -407,6 +409,8 @@ def sweep_epsilon(
     jobs: int = 1,
 ) -> SweepResult:
     """Full-recovery comparison of the systematic and two-phase schemes per eps."""
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     points = []
     for eps in eps_grid:
         sofc = monte_carlo(SOFC(), k, eps, trials, seed=seed, jobs=jobs)

@@ -161,6 +161,26 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_bad_seed_env_is_usage_error(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "e.csv"
+    monkeypatch.setenv("FOUNTAIN_LAB_SEED", "abc")
+    assert run("simulate", "--scheme", "sofc", "--k", "100", "--trials", "1", "--out", str(out)) == 2
+    assert "FOUNTAIN_LAB_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", [
+    ["simulate", "--scheme", "sofc", "--jobs", "-3"],
+    ["compare", "--scheme", "sofc", "--jobs", "0"],
+    ["sweep", "--eps-list", "0.1", "--jobs", "0"],
+])
+def test_jobs_below_one_is_usage_error(tmp_path, capsys, cmd):
+    out = tmp_path / "j.csv"
+    assert run(*cmd, "--k", "20", "--trials", "1", "--out", str(out)) == 2
+    assert "error: jobs must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("size,symbol_size", [(200_000, 70_000), (150_000, 200_000)])
 def test_transfer_symbol_size_too_large_is_usage_error(tmp_path, capsys, size, symbol_size):
     src = tmp_path / "f.bin"

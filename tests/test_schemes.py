@@ -1,4 +1,6 @@
 import random
+import struct
+import tracemalloc
 
 import pytest
 
@@ -315,6 +317,56 @@ def test_sampler_reproduces_random_sample(k):
             for _ in range(4):
                 assert enc._sample(m) == tuple(sorted(ref.sample(range(k), m)))
             assert enc.rng.getstate() == ref.getstate()
+
+
+def _sampler_encoder(k, seed):
+    enc = Encoder(SOFC(), SourceBlock(k, (b"",) * k), seed=seed)
+    ref = random.Random()
+    ref.setstate(enc.rng.getstate())
+    return enc, ref
+
+
+@pytest.mark.parametrize(
+    "k,m",
+    [(100000, m) for m in (255, 256, 257, 1000, 21845, 21846, 60000, 100000)]
+    + [(k, m) for k in (4096, 20000) for m in sorted({1023, 1024, 4095, 4096, k})],
+)
+def test_sampler_bulk_paths_reproduce_random_sample(k, m):
+    # both sides of the bulk thresholds (256 set, 1024 pool) and of the
+    # set-size cut-off (m = 21845 | 21846 at k = 1e5, 1365 | 1366 at 4096,
+    # 5461 | 5462 at 20000); m = k replays the shuffle down to one value
+    enc, ref = _sampler_encoder(k, seed=m)
+    for _ in range(2):
+        got = enc._sample(m)
+        assert got == tuple(sorted(ref.sample(range(k), m)))
+        assert {type(i) for i in got} == {int}
+    assert enc.rng.getstate() == ref.getstate()
+
+
+def test_sampler_word_stream_is_successive_getrandbits():
+    # the bulk sampler reads getrandbits(32 * n) as n successive 32-bit
+    # outputs, and a b-bit draw (b <= 32) as one output's top b bits
+    a, b = random.Random(11), random.Random(11)
+    n = 1000
+    words = struct.unpack(f"<{n}I", a.getrandbits(32 * n).to_bytes(4 * n, "little"))
+    assert list(words) == [b.getrandbits(32) for _ in range(n)]
+    for bits in range(1, 33):
+        assert a.getrandbits(32) >> (32 - bits) == b.getrandbits(bits)
+    assert a.getstate() == b.getstate()
+
+
+@pytest.mark.parametrize("m", [20000, 60000, 100000])
+def test_sampler_memory_peak(m):
+    # the pool branch of random.sample itself peaks at 4.95 MiB at m = k
+    enc, _ = _sampler_encoder(100000, seed=1)
+    enc._sample(m)
+    tracemalloc.start()
+    try:
+        enc._sample(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20
 
 
 def test_completion_indices_sorted_distinct():

@@ -202,6 +202,16 @@ def test_monte_carlo_parallel_is_output_invariant():
     assert summary_json(a) == summary_json(b)
 
 
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_rejected(jobs):
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        monte_carlo(SOFC(), 20, 0.0, trials=1, jobs=jobs)
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        sweep_epsilon(20, [0.1], trials=1, jobs=jobs)
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        sweep_epsilon(20, [], trials=1, jobs=jobs)
+
+
 def test_csv_schema_and_summary_keys():
     agg = monte_carlo(OFCNB(0.2), 60, 0.0, trials=2, seed=1)
     csv = aggregate_csv(agg)

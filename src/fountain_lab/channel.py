@@ -53,7 +53,7 @@ class ErasureChannel:
         self.epsilon = epsilon
         self._stream = _substream(seed, trial_id, _CHANNEL_STREAM)
         self._block_index = -1
-        self._block = np.zeros(0, dtype=bool)
+        self._block: list[bool] = []
 
     def _draws(self, first_block: int, n_slots: int) -> np.ndarray:
         bits = np.random.Philox(self._stream)
@@ -67,9 +67,10 @@ class ErasureChannel:
             raise ValueError("slot must be non-negative")
         block, offset = divmod(slot, _BLOCK)
         if block != self._block_index:
-            self._block = self._draws(block, _BLOCK)
+            # Python bools: indexing a list beats indexing an array.
+            self._block = self._draws(block, _BLOCK).tolist()
             self._block_index = block
-        return bool(self._block[offset])
+        return self._block[offset]
 
     def deliver_mask(self, n_slots: int) -> np.ndarray:
         """Delivery outcomes for slots 0..n_slots-1 as a boolean array."""

@@ -143,6 +143,11 @@ class Classification(NamedTuple):
     xor: bytes | None = None      # CASE2: residual edge label
 
 
+# The outcomes that carry no data, shared: a NamedTuple cannot be changed.
+_DUPLICATE = Classification(Case.DUPLICATE)
+_TOO_MANY_UNKNOWN = Classification(Case.TOO_MANY_UNKNOWN)
+
+
 class DecodeGraph:
     """Union-find decoding graph over k source nodes.
 
@@ -219,9 +224,9 @@ class DecodeGraph:
         unknown = [i for i in indices if not color[i]]
         n = len(unknown)
         if n == 0:
-            return Classification(Case.DUPLICATE)
+            return _DUPLICATE
         if n > 2:
-            return Classification(Case.TOO_MANY_UNKNOWN)
+            return _TOO_MANY_UNKNOWN
         if n == 2 and self.find(unknown[0]) == self.find(unknown[1]):
             return Classification(Case.CYCLE, a=unknown[0], b=unknown[1])
         residual = sym.payload

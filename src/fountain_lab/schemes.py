@@ -190,9 +190,10 @@ def degree_update_due(m_current: int, beta: float, k: int, policy: FeedbackPolic
 
 # Degrees from which Encoder._sample draws its generator words in bulk.  The
 # crossovers against the scalar paths, measured on 2 vCPUs with CPython 3.11
-# and numpy 2.4, lie near m = 130-190 for the set branch (k from 4096 to 1e6)
-# and near m = 300 for the pool branch at k = 4096 (at k = 1000 the bulk
-# replay never wins by more than 6%); the thresholds sit above them.
+# and numpy 2.4, lie near m = 130-190 for the set branch (k from 4096 to 1e6).
+# For the pool branch it depends on k: against the inline shuffle the bulk
+# replay takes 0.7-0.85x the time at k = 4096 from m = 342 on, but 1.1-1.2x
+# at k = 2000 and 1.3-2x at k = 1000.
 _BULK_SET_MIN = 256
 _BULK_POOL_MIN = 1024
 # Words per bulk draw, which bounds the temporaries, and the number of draws
@@ -239,6 +240,32 @@ def _bulk_set_sample(getrandbits, k: int, m: int) -> tuple[int, ...]:
             if i == len(taken) or taken[i] != j:
                 extra.add(j)
     taken += extra
+    taken.sort()
+    return tuple(taken)
+
+
+def _pool_sample(getrandbits, k: int, m: int) -> tuple[int, ...]:
+    """``random.sample``'s pool branch (Fisher-Yates over ``range(k)``) for
+    ``m <= k``, with its ``_randbelow`` calls written out.
+
+    Step i draws ``getrandbits(b)`` with ``b = (k - i).bit_length()`` until a
+    draw is below ``k - i``, takes ``pool[r]`` and moves ``pool[k-1-i]`` into
+    slot r.  ``b`` drops by one each time ``k - i`` falls below ``low``.
+    """
+    pool = list(range(k))
+    taken: list[int] = []
+    take = taken.append
+    b = k.bit_length()
+    low = 1 << (b - 1)
+    for n in range(k, k - m, -1):
+        if n < low:
+            b -= 1
+            low >>= 1
+        r = getrandbits(b)
+        while r >= n:
+            r = getrandbits(b)
+        take(pool[r])
+        pool[r] = pool[n - 1]
     taken.sort()
     return tuple(taken)
 
@@ -337,17 +364,36 @@ class Encoder:
         self.rng = random.Random(encoder_seed(seed, trial_id))
         self.phase, self.current_m = _START[type(config)]
         self.known_recovered = 0
-        self.phase_sent: dict[str, int] = {}
+        # Symbols sent in the phases left so far, and in the current one.
+        self._closed_sent: dict[str, int] = {}
+        self._sent_in_phase = 0
         self._next_index = 0
 
     @property
     def known_beta(self) -> float:
         return self.known_recovered / self.k
 
+    @property
+    def phase_sent(self) -> dict[str, int]:
+        """Symbols sent per phase, keyed by ``Phase.value`` in the order the
+        phases first sent; a phase that sent nothing has no key."""
+        sent = dict(self._closed_sent)
+        if self._sent_in_phase:
+            sent[self.phase.value] = self._sent_in_phase
+        return sent
+
+    def _enter(self, phase: Phase) -> None:
+        """Move to ``phase``, closing the count of the phase left."""
+        if phase is self.phase:
+            return
+        if self._sent_in_phase:
+            self._closed_sent[self.phase.value] = self._sent_in_phase
+            self._sent_in_phase = 0
+        self.phase = phase
+
     def _emit(self, indices: tuple[int, ...]) -> CodedSymbol:
         payload = self.source.encode(indices) if self._carries_payloads else None
-        label = self.phase.value
-        self.phase_sent[label] = self.phase_sent.get(label, 0) + 1
+        self._sent_in_phase += 1
         return CodedSymbol._trusted(indices, payload)
 
     def _sample(self, m: int) -> tuple[int, ...]:
@@ -364,10 +410,11 @@ class Encoder:
           those calls;
         * set branch, larger m: :func:`_bulk_set_sample`, which takes the
           same 32-bit words in bulk and merges them with numpy;
-        * pool branch, m < ``_BULK_POOL_MIN`` (or m > k, which it rejects):
-          ``random.sample`` itself;
+        * pool branch, m < ``_BULK_POOL_MIN``: :func:`_pool_sample`, the
+          shuffle with ``_randbelow``'s ``getrandbits`` loop written out;
         * pool branch, larger m: :func:`_bulk_pool_sample`, which replays
-          the shuffle on arrays.
+          the shuffle on arrays;
+        * m > k: ``random.sample`` itself, which rejects it.
 
         The bulk paths never draw a word the scalar code would not, and need
         ``k < 2**31`` (at most 31 bits per draw, int32 indices).
@@ -378,9 +425,11 @@ class Encoder:
             setsize += 4 ** math.ceil(math.log(m * 3, 4))
         bulk = k < 1 << 31
         if k <= setsize:
-            if bulk and _BULK_POOL_MIN <= m <= k:
+            if m > k:
+                return tuple(sorted(self.rng.sample(range(k), m)))
+            if bulk and m >= _BULK_POOL_MIN:
                 return _bulk_pool_sample(self.rng.getrandbits, k, m)
-            return tuple(sorted(self.rng.sample(range(k), m)))
+            return _pool_sample(self.rng.getrandbits, k, m)
         if bulk and m >= _BULK_SET_MIN:
             return _bulk_set_sample(self.rng.getrandbits, k, m)
         getrandbits = self.rng.getrandbits
@@ -403,7 +452,7 @@ class Encoder:
                 return self._emit((idx,))
             # All indexes sent and no feedback seen yet (tail frames erased):
             # fall through to completion with the stale recovery estimate.
-            self.phase = Phase.COMPLETION
+            self._enter(Phase.COMPLETION)
             self.current_m = optimal_degree(self.known_beta, self.k)
         return self._emit(self._sample(self.current_m))
 
@@ -413,7 +462,7 @@ class Encoder:
         most = self.k if phase is Phase.DONE else self.k - 1
         if not 0 <= msg.recovered <= most:
             raise ProtocolError(f"recovered {msg.recovered} outside 0..{most} in {msg.kind.name}")
-        self.phase = phase
+        self._enter(phase)
         if phase is Phase.DEGREE1_SEEDING:
             # OFC's build-up is over; seeding needs no recovery estimate.
             self.current_m = 1

@@ -146,30 +146,34 @@ def _drive(
 
     trace: list[TracePoint] = []
     pending: deque[tuple[int, FeedbackMsg]] = deque()   # (deliverable_at_sent, msg)
-    received = slot = 0
+    received = slot = recovered = 0
     fb_at_08 = None
     threshold_08 = math.ceil(0.8 * k)
+    graph = rcv.graph
+    next_symbol, deliver, receive = enc.next_symbol, chan.deliver, rcv.receive
+    link_send, link_receive = link.send, link.receive
     while sent < budget:
         while pending and pending[0][0] <= sent:
             enc.on_feedback(pending.popleft()[1])
         if enc.phase is Phase.DONE:
             break
-        carried = link.send(enc.next_symbol(), slot)
-        delivered = chan.deliver(slot)
+        carried = link_send(next_symbol(), slot)
+        delivered = deliver(slot)
         slot += 1
         sent += 1
         if not delivered:
             continue
         received += 1
-        before = rcv.recovered
-        sym, seq = link.receive(carried)
-        msg = rcv.receive(sym, seq=seq)
-        if rcv.recovered > before:
-            trace.append(TracePoint(sent, received, rcv.recovered))
-            if fb_at_08 is None and rcv.recovered >= threshold_08:
+        sym, seq = link_receive(carried)
+        msg = receive(sym, seq)
+        now = graph.recovered_count
+        if now > recovered:
+            recovered = now
+            trace.append(TracePoint(sent, received, now))
+            if fb_at_08 is None and now >= threshold_08:
                 fb_at_08 = rcv.feedback_sent
         if msg is not None:
-            trace.append(TracePoint(sent, received, rcv.recovered, event=msg.kind.name.lower()))
+            trace.append(TracePoint(sent, received, now, event=msg.kind.name.lower()))
             pending.append((sent + feedback_delay, link.feedback(msg)))
 
     complete = rcv.complete

@@ -35,6 +35,7 @@ or raises.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 import zlib
 from dataclasses import astuple, dataclass, field
@@ -182,7 +183,7 @@ def decode_frame(buf: bytes) -> DataFrame | FeedbackFrame | SessionHeader:
         (payload_len,) = _PAYLOAD_LEN.unpack_from(buf, total - _PAYLOAD_LEN.size)
         _sealed(buf, total + payload_len)
         indices = struct.unpack_from(f">{degree}I", buf, _DATA.size)
-        if degree < 1 or any(b <= a for a, b in zip(indices, indices[1:])):
+        if degree < 1 or not all(map(operator.lt, indices, indices[1:])):
             raise FrameError("malformed-frame", "indices not strictly increasing")
         return DataFrame(session_id, seq_no, indices, buf[total:total + payload_len])
     if ftype == TYPE_FEEDBACK:
@@ -314,7 +315,7 @@ def transfer(
         frames_delivered=result.received_total,
         header_attempts=header_attempts,
         feedback_frames=result.feedback_total,
-        per_phase_sent=dict(enc.phase_sent),
+        per_phase_sent=enc.phase_sent,
         complete=not result.budget_exceeded,
         trace=result.trace,
     )

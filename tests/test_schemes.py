@@ -343,6 +343,37 @@ def test_sampler_bulk_paths_reproduce_random_sample(k, m):
     assert enc.rng.getstate() == ref.getstate()
 
 
+def _pool_degrees(k, first):
+    # the first pool-branch degree and the one before it, min(1023, k), k,
+    # and each m that leaves n = k - m values at or just below a power of two
+    ms = {first - 1, first, min(1023, k), k}
+    for j in range(k.bit_length()):
+        ms.update(m for m in (k - 2**j, k - 2**j + 1) if first <= m <= k)
+    return sorted(ms)
+
+
+@pytest.mark.parametrize(
+    "k,m", [(1000, m) for m in _pool_degrees(1000, 86)] + [(4096, m) for m in _pool_degrees(4096, 342)]
+)
+def test_sampler_pool_branch_reproduces_random_sample(k, m):
+    enc, ref = _sampler_encoder(k, seed=m)
+    for _ in range(2):
+        got = enc._sample(m)
+        assert got == tuple(sorted(ref.sample(range(k), m)))
+        assert {type(i) for i in got} == {int}
+    assert enc.rng.getstate() == ref.getstate()
+
+
+def test_sampler_rejects_degree_above_k_like_random_sample():
+    enc, ref = _sampler_encoder(1000, seed=0)
+    with pytest.raises(ValueError) as want:
+        ref.sample(range(1000), 1001)
+    with pytest.raises(ValueError) as got:
+        enc._sample(1001)
+    assert str(got.value) == str(want.value)
+    assert enc.rng.getstate() == ref.getstate()
+
+
 def test_sampler_word_stream_is_successive_getrandbits():
     # the bulk sampler reads getrandbits(32 * n) as n successive 32-bit
     # outputs, and a b-bit draw (b <= 32) as one output's top b bits
@@ -367,6 +398,38 @@ def test_sampler_memory_peak(m):
     finally:
         tracemalloc.stop()
     assert peak <= 6 * 2**20
+
+
+def test_phase_sent_has_no_key_for_a_phase_that_sent_nothing():
+    # BETA_UPDATE and COMPLETE applied back to back: completion sends nothing
+    enc = make_encoder(OFCNB(0.5), k=5)
+    for _ in range(3):
+        enc.next_symbol()
+    enc.on_feedback(FeedbackMsg(BETA, 3))
+    enc.on_feedback(FeedbackMsg(COMPLETE, 5))
+    assert list(enc.phase_sent.items()) == [("degree1-seeding", 3)]
+
+
+def test_phase_sent_counts_across_self_entered_completion_and_updates():
+    enc = make_encoder(SOFC(), k=5)
+    for _ in range(6):   # the sixth symbol enters completion by itself
+        enc.next_symbol()
+    enc.on_feedback(FeedbackMsg(BETA, 3))   # completion stays completion
+    enc.next_symbol()
+    assert list(enc.phase_sent.items()) == [("systematic", 5), ("completion", 2)]
+    with pytest.raises(ProtocolError):
+        enc.on_feedback(FeedbackMsg(LCR, 3))
+    assert list(enc.phase_sent.items()) == [("systematic", 5), ("completion", 2)]
+
+
+def test_phase_sent_is_a_read_only_snapshot():
+    enc = make_encoder(SOFC(), k=5)
+    enc.next_symbol()
+    sent = enc.phase_sent
+    sent["systematic"] = 99
+    assert enc.phase_sent == {"systematic": 1}
+    with pytest.raises(AttributeError):
+        enc.phase_sent = {}
 
 
 def test_completion_indices_sorted_distinct():

@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 
 import fountain_lab
+from fountain_lab.graph import SourceBlock
 from fountain_lab.schemes import OFC, OFCNB, SOFC, EveryDegreeChange, Threshold
 from fountain_lab.sim import (
     CSV_HEADER,
     SessionResult,
     TracePoint,
+    _drive,
+    _ObjectLink,
     aggregate_csv,
     ber_from_results,
     milestone_grid,
@@ -137,6 +140,73 @@ def test_golden_sessions_heavy_seeding(gamma0, k, mode):
     r = run_session(OFCNB(gamma0), k, 0.1, seed=3, payload_mode=mode)
     digest = hashlib.sha256(repr(r.trace).encode()).hexdigest()
     assert (r.sent_total, r.feedback_total, digest) == GOLDEN_HEAVY_SEEDING[gamma0, k]
+
+
+B, D, S, C = "build-up", "degree1-seeding", "systematic", "completion"
+PHASE_SENT_CONFIGS = {"ofc": OFC(), "ofcnb-0.01": OFCNB(0.01), "ofcnb-0.5": OFCNB(0.5), "sofc": SOFC()}
+# (sent_total, Encoder.phase_sent items in order) at seed 3 in counting mode,
+# keyed (scheme, k, feedback_delay, eps).  At eps 0.5 every sofc run's last
+# systematic slot is erased, so its encoder enters completion by itself.
+GOLDEN_PHASE_SENT = {
+    ("ofc", 5, 0, 0.0): (7, ((B, 4), (D, 3))),
+    ("ofc", 5, 0, 0.5): (14, ((B, 8), (D, 1), (C, 5))),
+    ("ofc", 5, 3, 0.0): (11, ((B, 7), (D, 4))),
+    ("ofc", 5, 3, 0.5): (26, ((B, 11), (D, 6), (C, 9))),
+    ("ofc", 22, 0, 0.0): (29, ((B, 15), (D, 1), (C, 13))),
+    ("ofc", 22, 0, 0.5): (72, ((B, 46), (D, 4), (C, 22))),
+    ("ofc", 22, 3, 0.0): (33, ((B, 18), (D, 4), (C, 11))),
+    ("ofc", 22, 3, 0.5): (72, ((B, 49), (D, 4), (C, 19))),
+    ("ofc", 400, 0, 0.0): (467, ((B, 271), (D, 4), (C, 192))),
+    ("ofc", 400, 0, 0.5): (963, ((B, 599), (D, 13), (C, 351))),
+    ("ofc", 400, 3, 0.0): (467, ((B, 274), (D, 4), (C, 189))),
+    ("ofc", 400, 3, 0.5): (948, ((B, 602), (D, 9), (C, 337))),
+    ("ofcnb-0.01", 5, 0, 0.0): (7, ((D, 1), (C, 6))),
+    ("ofcnb-0.01", 5, 0, 0.5): (12, ((D, 2), (C, 10))),
+    ("ofcnb-0.01", 5, 3, 0.0): (10, ((D, 4), (C, 6))),
+    ("ofcnb-0.01", 5, 3, 0.5): (26, ((D, 5), (C, 21))),
+    ("ofcnb-0.01", 22, 0, 0.0): (26, ((D, 1), (C, 25))),
+    ("ofcnb-0.01", 22, 0, 0.5): (63, ((D, 2), (C, 61))),
+    ("ofcnb-0.01", 22, 3, 0.0): (35, ((D, 4), (C, 31))),
+    ("ofcnb-0.01", 22, 3, 0.5): (77, ((D, 5), (C, 72))),
+    ("ofcnb-0.01", 400, 0, 0.0): (462, ((D, 4), (C, 458))),
+    ("ofcnb-0.01", 400, 0, 0.5): (959, ((D, 11), (C, 948))),
+    ("ofcnb-0.01", 400, 3, 0.0): (490, ((D, 7), (C, 483))),
+    ("ofcnb-0.01", 400, 3, 0.5): (982, ((D, 14), (C, 968))),
+    ("ofcnb-0.5", 5, 0, 0.0): (8, ((D, 6), (C, 2))),
+    ("ofcnb-0.5", 5, 0, 0.5): (14, ((D, 11), (C, 3))),
+    ("ofcnb-0.5", 5, 3, 0.0): (12, ((D, 9), (C, 3))),
+    ("ofcnb-0.5", 5, 3, 0.5): (26, ((D, 14), (C, 12))),
+    ("ofcnb-0.5", 22, 0, 0.0): (28, ((D, 15), (C, 13))),
+    ("ofcnb-0.5", 22, 0, 0.5): (69, ((D, 40), (C, 29))),
+    ("ofcnb-0.5", 22, 3, 0.0): (33, ((D, 18), (C, 15))),
+    ("ofcnb-0.5", 22, 3, 0.5): (72, ((D, 43), (C, 29))),
+    ("ofcnb-0.5", 400, 0, 0.0): (556, ((D, 272), (C, 284))),
+    ("ofcnb-0.5", 400, 0, 0.5): (1178, ((D, 583), (C, 595))),
+    ("ofcnb-0.5", 400, 3, 0.0): (574, ((D, 275), (C, 299))),
+    ("ofcnb-0.5", 400, 3, 0.5): (1147, ((D, 586), (C, 561))),
+    ("sofc", 5, 0, 0.0): (5, ((S, 5),)),
+    ("sofc", 5, 0, 0.5): (25, ((S, 5), (C, 20))),
+    ("sofc", 5, 3, 0.0): (8, ((S, 5), (C, 3))),
+    ("sofc", 5, 3, 0.5): (17, ((S, 5), (C, 12))),
+    ("sofc", 22, 0, 0.0): (22, ((S, 22),)),
+    ("sofc", 22, 0, 0.5): (65, ((S, 22), (C, 43))),
+    ("sofc", 22, 3, 0.0): (25, ((S, 22), (C, 3))),
+    ("sofc", 22, 3, 0.5): (68, ((S, 22), (C, 46))),
+    ("sofc", 400, 0, 0.0): (400, ((S, 400),)),
+    ("sofc", 400, 0, 0.5): (1042, ((S, 400), (C, 642))),
+    ("sofc", 400, 3, 0.0): (403, ((S, 400), (C, 3))),
+    ("sofc", 400, 3, 0.5): (1010, ((S, 400), (C, 610))),
+}
+
+
+@pytest.mark.parametrize("scheme,k,delay,eps", list(GOLDEN_PHASE_SENT))
+def test_golden_encoder_phase_sent(scheme, k, delay, eps):
+    result, enc, _ = _drive(
+        PHASE_SENT_CONFIGS[scheme], SourceBlock(k, (b"",) * k), eps, EveryDegreeChange(),
+        3, 0, None, _ObjectLink(), feedback_delay=delay,
+    )
+    got = (result.sent_total, tuple(enc.phase_sent.items()))
+    assert got == GOLDEN_PHASE_SENT[scheme, k, delay, eps]
 
 
 def test_ofc_dead_zone():

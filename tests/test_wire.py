@@ -326,3 +326,43 @@ def test_golden_transfer(scheme, eps, symbol_size):
     got = (r.frames_sent, r.frames_delivered, r.header_attempts, r.feedback_frames,
            r.per_phase_sent, r.complete)
     assert got == GOLDEN_TRANSFER_REPORTS[scheme, eps]
+
+
+B, D, S, C = "build-up", "degree1-seeding", "systematic", "completion"
+PHASE_SENT_CONFIGS = {"ofc": OFC(), "ofcnb-0.01": OFCNB(0.01), "ofcnb-0.5": OFCNB(0.5), "sofc": SOFC()}
+# (frames_sent, per_phase_sent items in order) at seed 3 for k blocks of 16
+# bytes, keyed (scheme, k, eps); the header frame counts in frames_sent only.
+GOLDEN_TRANSFER_PHASE_SENT = {
+    ("ofc", 5, 0.0): (8, ((B, 4), (D, 3))),
+    ("ofc", 5, 0.5): (15, ((B, 8), (D, 1), (C, 5))),
+    ("ofc", 22, 0.0): (30, ((B, 15), (D, 1), (C, 13))),
+    ("ofc", 22, 0.5): (73, ((B, 46), (D, 4), (C, 22))),
+    ("ofc", 400, 0.0): (468, ((B, 271), (D, 4), (C, 192))),
+    ("ofc", 400, 0.5): (964, ((B, 599), (D, 13), (C, 351))),
+    ("ofcnb-0.01", 5, 0.0): (8, ((D, 1), (C, 6))),
+    ("ofcnb-0.01", 5, 0.5): (13, ((D, 2), (C, 10))),
+    ("ofcnb-0.01", 22, 0.0): (27, ((D, 1), (C, 25))),
+    ("ofcnb-0.01", 22, 0.5): (64, ((D, 2), (C, 61))),
+    ("ofcnb-0.01", 400, 0.0): (463, ((D, 4), (C, 458))),
+    ("ofcnb-0.01", 400, 0.5): (960, ((D, 11), (C, 948))),
+    ("ofcnb-0.5", 5, 0.0): (9, ((D, 6), (C, 2))),
+    ("ofcnb-0.5", 5, 0.5): (15, ((D, 11), (C, 3))),
+    ("ofcnb-0.5", 22, 0.0): (29, ((D, 15), (C, 13))),
+    ("ofcnb-0.5", 22, 0.5): (70, ((D, 40), (C, 29))),
+    ("ofcnb-0.5", 400, 0.0): (557, ((D, 272), (C, 284))),
+    ("ofcnb-0.5", 400, 0.5): (1179, ((D, 583), (C, 595))),
+    ("sofc", 5, 0.0): (6, ((S, 5),)),
+    ("sofc", 5, 0.5): (26, ((S, 5), (C, 20))),
+    ("sofc", 22, 0.0): (23, ((S, 22),)),
+    ("sofc", 22, 0.5): (66, ((S, 22), (C, 43))),
+    ("sofc", 400, 0.0): (401, ((S, 400),)),
+    ("sofc", 400, 0.5): (1043, ((S, 400), (C, 642))),
+}
+
+
+@pytest.mark.parametrize("scheme,k,eps", list(GOLDEN_TRANSFER_PHASE_SENT))
+def test_golden_transfer_phase_sent(scheme, k, eps):
+    data = random.Random(k).randbytes(16 * k)
+    out, r = transfer(data, PHASE_SENT_CONFIGS[scheme], eps, seed=3, symbol_size=16)
+    assert out == data
+    assert (r.frames_sent, tuple(r.per_phase_sent.items())) == GOLDEN_TRANSFER_PHASE_SENT[scheme, k, eps]

@@ -58,12 +58,12 @@ def _scheme(args) -> SchemeConfig:
         raise UsageError(f"--gamma0 is not valid with --scheme {name}")
     if name == "sofc":
         return SOFC()
-    return OFC(0.5 if beta0 is None else beta0)
+    return OFC() if beta0 is None else OFC(beta0)
 
 
 def _policy(args):
     if args.policy == "threshold":
-        return Threshold(args.delta_p)
+        return Threshold() if args.delta_p is None else Threshold(args.delta_p)
     return EveryDegreeChange()
 
 
@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def policy_flags(p):
         p.add_argument("--policy", choices=["every", "threshold"], default="every")
-        p.add_argument("--delta-p", dest="delta_p", type=float, default=0.01)
+        p.add_argument("--delta-p", dest="delta_p", type=float, default=None)
 
     p = sub.add_parser("predict", help="closed-form expected transmitted-count curve")
     scheme_flags(p)

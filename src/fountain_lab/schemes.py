@@ -188,14 +188,14 @@ def degree_update_due(m_current: int, beta: float, k: int, policy: FeedbackPolic
     return useful_prob(m_new, beta) > useful_prob(m_current, beta) + policy.delta_p
 
 
-# Degrees from which Encoder._sample draws its generator words in bulk.  The
-# crossovers against the scalar paths, measured on 2 vCPUs with CPython 3.11
-# and numpy 2.4, lie near m = 130-190 for the set branch (k from 4096 to 1e6).
-# For the pool branch it depends on k: against the inline shuffle the bulk
-# replay takes 0.7-0.85x the time at k = 4096 from m = 342 on, but 1.1-1.2x
-# at k = 2000 and 1.3-2x at k = 1000.
+# When Encoder._sample draws its generator words in bulk, measured on 2 vCPUs
+# with CPython 3.11 and numpy 2.4.  Set branch: from degree 256, near its
+# crossovers of m = 130-190 (k from 4096 to 1e6).  Pool branch: from k = 4096
+# at any degree, because the crossover moves with k, not m.  The bulk replay
+# takes 0.67-0.90x the inline shuffle's time at k = 4096 (m = 342 to 4096),
+# 0.88-1.16x at k = 2048 and 1.23-1.67x at k = 1024.
 _BULK_SET_MIN = 256
-_BULK_POOL_MIN = 1024
+_BULK_POOL_K = 4096
 # Words per bulk draw, which bounds the temporaries, and the number of draws
 # left below which the scalar loops finish.
 _CHUNK = 4096
@@ -410,9 +410,9 @@ class Encoder:
           those calls;
         * set branch, larger m: :func:`_bulk_set_sample`, which takes the
           same 32-bit words in bulk and merges them with numpy;
-        * pool branch, m < ``_BULK_POOL_MIN``: :func:`_pool_sample`, the
+        * pool branch, k < ``_BULK_POOL_K``: :func:`_pool_sample`, the
           shuffle with ``_randbelow``'s ``getrandbits`` loop written out;
-        * pool branch, larger m: :func:`_bulk_pool_sample`, which replays
+        * pool branch, larger k: :func:`_bulk_pool_sample`, which replays
           the shuffle on arrays;
         * m > k: ``random.sample`` itself, which rejects it.
 
@@ -427,7 +427,7 @@ class Encoder:
         if k <= setsize:
             if m > k:
                 return tuple(sorted(self.rng.sample(range(k), m)))
-            if bulk and m >= _BULK_POOL_MIN:
+            if bulk and k >= _BULK_POOL_K:
                 return _bulk_pool_sample(self.rng.getrandbits, k, m)
             return _pool_sample(self.rng.getrandbits, k, m)
         if bulk and m >= _BULK_SET_MIN:
@@ -504,15 +504,8 @@ class Receiver:
         self.feedback_sent = 0
 
     @property
-    def recovered(self) -> int:
-        return self.graph.recovered_count
-
-    @property
     def complete(self) -> bool:
         return self.graph.complete
-
-    def recovered_payloads(self) -> list[bytes | None]:
-        return list(self.graph.values)
 
     def _send(self, kind: FeedbackKind) -> FeedbackMsg:
         """Advance the mirror as the encoder will on ``kind``; returns the message."""

@@ -122,13 +122,14 @@ def _drive(
 ) -> tuple[SessionResult, Encoder, Receiver]:
     """Set up and run one session: encoder -> link -> channel -> receiver -> feedback.
 
-    ``budget`` defaults to 50 * k transmissions and may not be below k
-    (ValueError).  ``link`` carries each transmitted symbol (``send`` before
-    the channel, ``receive`` after a delivery) and each feedback message
-    (``feedback``).  ``sent`` starts the transmitted count at frames already
-    spent on setup; channel slots count from 0.  Feedback reaches the encoder
-    ``feedback_delay`` transmissions after it is emitted.  Stops at COMPLETE
-    or when ``budget`` transmissions are spent.
+    ``budget`` defaults to 50 * k transmissions and may not be below k, nor
+    ``feedback_delay`` below 0 (ValueError).  ``link`` carries each
+    transmitted symbol (``send`` before the channel, ``receive`` after a
+    delivery) and each feedback message (``feedback``).  ``sent`` starts the
+    transmitted count at frames already spent on setup; channel slots count
+    from 0.  Feedback reaches the encoder ``feedback_delay`` transmissions
+    after it is emitted.  Stops at COMPLETE or when ``budget`` transmissions
+    are spent.
 
     A source of empty payloads runs in counting mode.  Otherwise every
     recovered payload of a complete session is checked against the source
@@ -139,6 +140,8 @@ def _drive(
         budget = DEFAULT_BUDGET_FACTOR * k
     if budget < k:
         raise ValueError(f"budget {budget} cannot be below k={k}")
+    if feedback_delay < 0:
+        raise ValueError("feedback_delay must be >= 0")
     carries_payloads = source.symbol_size > 0
     enc = Encoder(config, source, seed=seed, trial_id=trial_id)
     rcv = Receiver(k, config, policy, track_values=carries_payloads)
@@ -178,7 +181,7 @@ def _drive(
 
     complete = rcv.complete
     if carries_payloads and complete:
-        got = rcv.recovered_payloads()
+        got = graph.values
         for i in range(k):
             if got[i] != source.symbols[i]:
                 raise PayloadMismatch(f"recovered payload mismatch at index {i}")
@@ -220,7 +223,7 @@ def run_session(
     session is checked against the source and a difference raises
     PayloadMismatch "recovered payload mismatch".  ``feedback_delay``
     postpones message arrival by that many symbol slots (0 = the idealized
-    instant-feedback model).
+    instant-feedback model; below 0 raises ValueError).
     """
     if payload_mode not in ("counting", "full"):
         raise ValueError(f"unknown payload_mode {payload_mode!r}")

@@ -189,7 +189,7 @@ def decode_frame(buf: bytes) -> DataFrame | FeedbackFrame | SessionHeader:
     if ftype == TYPE_FEEDBACK:
         _sealed(buf, _FEEDBACK.size)
         _, _, _, session_id, kind, recovered = _FEEDBACK.unpack_from(buf)
-        if kind > 3:
+        if kind >= len(FeedbackKind):
             raise FrameError("malformed-frame", f"feedback kind {kind}")
         return FeedbackFrame(session_id, FeedbackKind(kind), recovered)
     if ftype == TYPE_HEADER:
@@ -321,5 +321,5 @@ def transfer(
     )
     if not report.complete:
         raise TransferFailed(report)
-    out = b"".join(rcv.recovered_payloads())[: len(data)]  # type: ignore[arg-type]
+    out = b"".join(rcv.graph.values)[: len(data)]  # type: ignore[arg-type]
     return out, report

@@ -319,3 +319,10 @@ def test_completion_table_matches_scalar(k):
     assert _optimal_degrees(k).tolist() == [optimal_degree(n / k, k) for n in range(k)]
     want = np.array([completion_prob(n, k) for n in range(k)])
     assert _completion_probs(k).tobytes() == want.tobytes()
+
+
+def test_scalar_forms_reject_bad_eps_and_unknown_config():
+    with pytest.raises(ValueError, match=r"eps must be in \[0, 1\), got 1.0"):
+        expected_sofc(1, 10, 1.0)
+    with pytest.raises(TypeError, match="unknown scheme config"):
+        expected_transmitted(object(), 1, 10)

@@ -94,3 +94,11 @@ def test_seed_derivations_are_stable_and_disjoint():
     assert encoder_seed(5, 7) != source_seed(5, 7)
     with pytest.raises(ValueError):
         encoder_seed(-1, 0)
+
+
+def test_negative_slots_are_rejected():
+    chan = ErasureChannel(0.1)
+    with pytest.raises(ValueError, match="slot must be non-negative"):
+        chan.deliver(-1)
+    with pytest.raises(ValueError, match="n_slots must be non-negative"):
+        chan.deliver_mask(-1)

@@ -167,3 +167,9 @@ def test_exact_case_probs_errors():
         exact_case_probs(4, 2, 5)
     with pytest.raises(ValueError):
         exact_case_probs(4, 5, 2)
+
+
+@pytest.mark.parametrize("prob", [case1_prob, case2_prob])
+def test_case_probs_reject_degree_zero(prob):
+    with pytest.raises(ValueError, match="degree must be >= 1, got 0"):
+        prob(0, 0.5)

@@ -315,3 +315,17 @@ def test_counting_mode_block_holds_no_int_table():
     blk = SourceBlock(5, (b"",) * 5)
     assert blk._ints == ()
     assert blk.encode((0, 3)) == b"" and blk.encode((2,)) == b""
+
+
+def test_xor_bytes_rejects_length_mismatch():
+    with pytest.raises(ValueError, match="payload length mismatch: 2 vs 3"):
+        xor_bytes(b"ab", b"abc")
+
+
+def test_source_block_validation():
+    with pytest.raises(ValueError, match="need k >= 2 source symbols, got 1"):
+        SourceBlock(1, (b"a",))
+    with pytest.raises(ValueError, match="symbol count does not match k"):
+        SourceBlock(3, (b"a", b"b"))
+    with pytest.raises(ValueError, match=r"payloads must share one length, got \[1, 2\]"):
+        SourceBlock(2, (b"a", b"bc"))

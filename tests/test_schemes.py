@@ -491,3 +491,23 @@ def test_phase_errors_come_before_range_errors():
     enc.on_feedback(FeedbackMsg(COMPLETE, 50))
     with pytest.raises(ProtocolError, match="^feedback after session completion$"):
         enc.on_feedback(FeedbackMsg(COMPLETE, 51))
+
+
+# First pool-branch degree per k: random.sample shuffles a pool once
+# k <= 21 + 4 ** ceil(log4(3m)), i.e. from m = 86 for k = 278..1045 and from
+# m = 342 for k = 1046..4117.
+_FIRST_POOL_DEGREE = {1024: 86, 1045: 86, 2048: 342, 4095: 342, 4096: 342, 4117: 342}
+
+
+@pytest.mark.parametrize(
+    "k,m",
+    [(k, m) for k, first in _FIRST_POOL_DEGREE.items() for m in sorted({first, 1023, 1024, k}) if m <= k],
+)
+def test_sampler_pool_replay_either_side_of_its_k_threshold(k, m):
+    # the bulk replay runs from k = 4096 on, the inline shuffle below it
+    enc, ref = _sampler_encoder(k, seed=k + m)
+    for _ in range(2):
+        got = enc._sample(m)
+        assert got == tuple(sorted(ref.sample(range(k), m)))
+        assert {type(i) for i in got} == {int}
+    assert enc.rng.getstate() == ref.getstate()

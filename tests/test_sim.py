@@ -14,6 +14,8 @@ from fountain_lab.schemes import OFC, OFCNB, SOFC, EveryDegreeChange, Threshold
 from fountain_lab.sim import (
     CSV_HEADER,
     SessionResult,
+    SweepPoint,
+    SweepResult,
     TracePoint,
     _drive,
     _ObjectLink,
@@ -353,3 +355,40 @@ def test_package_import_leaves_process_pool_unloaded():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_run_session_rejects_unknown_payload_mode():
+    with pytest.raises(ValueError, match="unknown payload_mode 'bogus'"):
+        run_session(OFC(), 10, 0.0, payload_mode="bogus")
+
+
+def test_negative_feedback_delay_is_rejected():
+    # a negative delay would act as 0: a message is applied on the next iteration
+    with pytest.raises(ValueError, match="feedback_delay must be >= 0"):
+        run_session(OFC(), 10, 0.0, feedback_delay=-3)
+    source = SourceBlock(10, (b"",) * 10)
+    with pytest.raises(ValueError, match="feedback_delay must be >= 0"):
+        _drive(OFC(), source, 0.0, EveryDegreeChange(), 0, 0, None, _ObjectLink(), feedback_delay=-1)
+
+
+def test_empty_trace_reads_as_nothing_recovered():
+    r = SessionResult(
+        scheme="ofc", k=4, eps=0.0, trial_id=0, trace=[], sent_total=8,
+        received_total=8, full_recovery_sent=None, budget_exceeded=True,
+        feedback_total=0, feedback_at_beta08=0,
+    )
+    assert np.isnan(sent_at_milestones(r, milestone_grid(4))).all()
+    assert recovered_at_sent(r, 8) == 0
+    assert ber_from_results([r], 4, [0.5, 2.0]) == [(0.5, 1.0), (2.0, 1.0)]
+
+
+def test_monte_carlo_rejects_zero_trials():
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        monte_carlo(OFC(), 10, 0.0, 0)
+
+
+def test_crossover_on_exact_zero_diff_and_without_sign_change():
+    zero_first = SweepResult(10, [SweepPoint(0.1, 5.0, 5.0), SweepPoint(0.2, 6.0, 5.0)])
+    assert zero_first.crossover == 0.1
+    never = SweepResult(10, [SweepPoint(0.1, 4.0, 5.0), SweepPoint(0.2, 4.5, 5.0)])
+    assert never.crossover is None

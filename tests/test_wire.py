@@ -366,3 +366,8 @@ def test_golden_transfer_phase_sent(scheme, k, eps):
     out, r = transfer(data, PHASE_SENT_CONFIGS[scheme], eps, seed=3, symbol_size=16)
     assert out == data
     assert (r.frames_sent, tuple(r.per_phase_sent.items())) == GOLDEN_TRANSFER_PHASE_SENT[scheme, k, eps]
+
+
+def test_transfer_rejects_zero_symbol_size():
+    with pytest.raises(ValueError, match="symbol_size must be >= 1"):
+        transfer(b"abc", OFC(), 0.0, symbol_size=0)

@@ -146,6 +146,10 @@ class Classification(NamedTuple):
 # The outcomes that carry no data, shared: a NamedTuple cannot be changed.
 _DUPLICATE = Classification(Case.DUPLICATE)
 _TOO_MANY_UNKNOWN = Classification(Case.TOO_MANY_UNKNOWN)
+_CASE1, _CASE2, _CYCLE = Case.CASE1, Case.CASE2, Case.CYCLE
+# Builds a Classification from all six fields in order, without the keyword
+# constructor's cost (half a CASE1 classify).
+_positional = tuple.__new__
 
 
 class DecodeGraph:
@@ -228,7 +232,7 @@ class DecodeGraph:
         if n > 2:
             return _TOO_MANY_UNKNOWN
         if n == 2 and self.find(unknown[0]) == self.find(unknown[1]):
-            return Classification(Case.CYCLE, a=unknown[0], b=unknown[1])
+            return _positional(Classification, (_CYCLE, None, None, unknown[0], unknown[1], None))
         residual = sym.payload
         if residual is not None and self.track_values and n < len(indices):
             values = self.values
@@ -236,8 +240,8 @@ class DecodeGraph:
                 if color[i]:
                     residual = xor_bytes(residual, values[i])  # type: ignore[arg-type]
         if n == 1:
-            return Classification(Case.CASE1, target=unknown[0], value=residual)
-        return Classification(Case.CASE2, a=unknown[0], b=unknown[1], xor=residual)
+            return _positional(Classification, (_CASE1, unknown[0], residual, None, None, None))
+        return _positional(Classification, (_CASE2, None, None, unknown[0], unknown[1], residual))
 
     def apply_case1(self, target: int, value: bytes | None) -> list[tuple[int, bytes | None]]:
         """Recover ``target`` and, via stored edges, its whole component.
@@ -245,22 +249,34 @@ class DecodeGraph:
         Returns every newly recovered (node, value) pair; traversed edges are
         removed so edges never touch a black node.
         """
-        if self.color[target]:
+        color, adj = self.color, self.adj
+        if color[target]:
             raise ContractViolation(f"node {target} is already recovered")
         newly: list[tuple[int, bytes | None]] = []
-        self.color[target] = 1
-        stack = [(target, value)]
-        while stack:
-            node, val = stack.pop()
-            if self.track_values:
-                self.values[node] = val
-            newly.append((node, val))
-            for nb, edge in self.adj[node]:
-                if not self.color[nb]:
-                    self.color[nb] = 1
-                    nv = xor_bytes(edge, val) if (self.track_values and edge is not None and val is not None) else None
-                    stack.append((nb, nv))
-            self.adj[node].clear()
+        color[target] = 1
+        if self.track_values:
+            values = self.values
+            stack = [(target, value)]
+            while stack:
+                node, val = stack.pop()
+                values[node] = val
+                newly.append((node, val))
+                for nb, edge in adj[node]:
+                    if not color[nb]:
+                        color[nb] = 1
+                        stack.append((nb, xor_bytes(edge, val) if edge is not None and val is not None else None))
+                adj[node].clear()
+        else:
+            # Counting mode: every value is None, so only nodes are stacked.
+            nodes = [target]
+            while nodes:
+                node = nodes.pop()
+                newly.append((node, None))
+                for nb, _ in adj[node]:
+                    if not color[nb]:
+                        color[nb] = 1
+                        nodes.append(nb)
+                adj[node].clear()
         self.recovered_count += len(newly)
         if len(newly) >= self._largest:
             self._largest_dirty = True
@@ -290,8 +306,9 @@ class DecodeGraph:
     def process(self, sym: CodedSymbol) -> tuple[Classification, list[tuple[int, bytes | None]]]:
         """Classify and apply one symbol; returns (classification, newly recovered)."""
         cls = self.classify(sym)
-        if cls.case is Case.CASE1:
-            return cls, self.apply_case1(cls.target, cls.value)  # type: ignore[arg-type]
-        if cls.case is Case.CASE2:
-            self.apply_case2(cls.a, cls.b, cls.xor)  # type: ignore[arg-type]
+        case, target, value, a, b, xor = cls
+        if case is _CASE1:
+            return cls, self.apply_case1(target, value)  # type: ignore[arg-type]
+        if case is _CASE2:
+            self.apply_case2(a, b, xor)  # type: ignore[arg-type]
         return cls, []

@@ -159,6 +159,9 @@ _START: dict[type, tuple[Phase, int]] = {
 }
 
 
+_SYSTEMATIC, _COMPLETION, _DONE = Phase.SYSTEMATIC, Phase.COMPLETION, Phase.DONE
+
+
 def _next_phase(config: SchemeConfig, phase: Phase, kind: FeedbackKind) -> Phase:
     """The phase after a ``kind`` message in ``phase``; ProtocolError if none."""
     if phase is Phase.DONE:
@@ -200,6 +203,22 @@ _BULK_POOL_K = 4096
 # left below which the scalar loops finish.
 _CHUNK = 4096
 _TAIL = 32
+
+
+def _first_pool_degree(k: int) -> int:
+    """The least m for which ``random.sample(range(k), m)`` shuffles a pool.
+
+    CPython takes its pool branch iff ``k <= setsize`` with ``setsize = 21``,
+    plus ``4 ** ceil(log4(3m))`` for ``m > 5``: the expression below, which
+    grows with m and reaches k by ``m = k``.
+    """
+    def pooled(m: int) -> bool:
+        setsize = 21
+        if m > 5:
+            setsize += 4 ** math.ceil(math.log(m * 3, 4))
+        return k <= setsize
+
+    return bisect_left(range(1, k + 1), True, key=pooled) + 1
 
 
 def _words(getrandbits, n: int) -> np.ndarray:
@@ -362,6 +381,8 @@ class Encoder:
         # A block of empty payloads is counting mode: symbols carry no bytes.
         self._carries_payloads = source.symbol_size > 0
         self.rng = random.Random(encoder_seed(seed, trial_id))
+        # random.sample's branch depends on (k, m) only: pool from this m on.
+        self._pool_from = _first_pool_degree(self.k)
         self.phase, self.current_m = _START[type(config)]
         self.known_recovered = 0
         # Symbols sent in the phases left so far, and in the current one.
@@ -391,23 +412,20 @@ class Encoder:
             self._sent_in_phase = 0
         self.phase = phase
 
-    def _emit(self, indices: tuple[int, ...]) -> CodedSymbol:
-        payload = self.source.encode(indices) if self._carries_payloads else None
-        self._sent_in_phase += 1
-        return CodedSymbol._trusted(indices, payload)
-
     def _sample(self, m: int) -> tuple[int, ...]:
         """``tuple(sorted(rng.sample(range(k), m)))``, drawn without its overhead.
 
         The result and the generator state after it equal what
-        ``random.sample`` gives on CPython 3.10-3.13.  Above CPython's
-        set-size cut-off ``random.sample`` keeps redrawing
-        ``getrandbits(k.bit_length())`` until a draw is below k and unseen;
-        at or below it, it runs Fisher-Yates over a pool of all k values.
-        Which path runs depends only on (k, m):
+        ``random.sample`` gives on CPython 3.10-3.13.  Below CPython's
+        set-size cut-off (m below ``_pool_from``, set once per encoder)
+        ``random.sample`` keeps redrawing ``getrandbits(k.bit_length())``
+        until a draw is below k and unseen; from it on, it runs Fisher-Yates
+        over a pool of all k values.  Which path runs depends only on (k, m):
 
-        * set branch, m < ``_BULK_SET_MIN``: the loop below, making exactly
-          those calls;
+        * set branch, m = 2: two redraw loops, the second also skipping the
+          first draw, and one compare to sort the pair;
+        * set branch, other m < ``_BULK_SET_MIN``: the loop below, making
+          exactly those calls;
         * set branch, larger m: :func:`_bulk_set_sample`, which takes the
           same 32-bit words in bulk and merges them with numpy;
         * pool branch, k < ``_BULK_POOL_K``: :func:`_pool_sample`, the
@@ -420,20 +438,25 @@ class Encoder:
         ``k < 2**31`` (at most 31 bits per draw, int32 indices).
         """
         k = self.k
-        setsize = 21
-        if m > 5:
-            setsize += 4 ** math.ceil(math.log(m * 3, 4))
         bulk = k < 1 << 31
-        if k <= setsize:
+        if m >= self._pool_from:
             if m > k:
                 return tuple(sorted(self.rng.sample(range(k), m)))
             if bulk and k >= _BULK_POOL_K:
                 return _bulk_pool_sample(self.rng.getrandbits, k, m)
             return _pool_sample(self.rng.getrandbits, k, m)
-        if bulk and m >= _BULK_SET_MIN:
-            return _bulk_set_sample(self.rng.getrandbits, k, m)
         getrandbits = self.rng.getrandbits
         bits = k.bit_length()
+        if m == 2:
+            a = getrandbits(bits)
+            while a >= k:
+                a = getrandbits(bits)
+            b = getrandbits(bits)
+            while b >= k or b == a:
+                b = getrandbits(bits)
+            return (a, b) if a < b else (b, a)
+        if bulk and m >= _BULK_SET_MIN:
+            return _bulk_set_sample(getrandbits, k, m)
         selected: set[int] = set()
         add = selected.add
         while len(selected) < m:
@@ -443,18 +466,26 @@ class Encoder:
         return tuple(sorted(selected))
 
     def next_symbol(self) -> CodedSymbol:
-        if self.phase is Phase.DONE:
-            raise ProtocolError("session already complete")
-        if self.phase is Phase.SYSTEMATIC:
-            if self._next_index < self.k:
-                idx = self._next_index
-                self._next_index += 1
-                return self._emit((idx,))
-            # All indexes sent and no feedback seen yet (tail frames erased):
-            # fall through to completion with the stale recovery estimate.
-            self._enter(Phase.COMPLETION)
-            self.current_m = optimal_degree(self.known_beta, self.k)
-        return self._emit(self._sample(self.current_m))
+        phase = self.phase
+        if phase is _SYSTEMATIC and self._next_index < self.k:
+            indices: tuple[int, ...] = (self._next_index,)
+            self._next_index += 1
+        else:
+            if phase is _DONE:
+                raise ProtocolError("session already complete")
+            if phase is _SYSTEMATIC:
+                # All indexes sent and no feedback seen yet (tail frames
+                # erased): go on to completion with the stale recovery estimate.
+                self._enter(_COMPLETION)
+                self.current_m = optimal_degree(self.known_beta, self.k)
+            indices = self._sample(self.current_m)
+        self._sent_in_phase += 1
+        # CodedSymbol._trusted, inline: the encoder's indices need no check.
+        sym = object.__new__(CodedSymbol)
+        attrs = sym.__dict__
+        attrs["indices"] = indices
+        attrs["payload"] = self.source.encode(indices) if self._carries_payloads else None
+        return sym
 
     def on_feedback(self, msg: FeedbackMsg) -> None:
         phase = _next_phase(self.config, self.phase, msg.kind)
@@ -517,29 +548,36 @@ class Receiver:
 
     def receive(self, sym: CodedSymbol, seq: int | None = None) -> FeedbackMsg | None:
         """Process one delivered symbol; returns the feedback to send, if any."""
-        cls, newly = self.graph.process(sym)
-        # Only the symbol that recovers the last node completes the graph.
-        if newly and self.graph.complete:
-            return self._send(FeedbackKind.COMPLETE)
+        graph = self.graph
+        cls, newly = graph.process(sym)
         mirror = self._mirror
-        if mirror is Phase.COMPLETION:
+        # Only the symbol that recovers the last node completes the graph, and
+        # COMPLETE subsumes any other message.
+        if mirror is _COMPLETION:
             # beta only moves on a recovery; at an unchanged beta the encoder's
             # degree was already synced or found not due.
-            if newly and degree_update_due(self._encoder_m, self.graph.beta(), self.k, self.policy):
-                return self._send(FeedbackKind.BETA_UPDATE)
-        elif mirror is Phase.BUILD_UP:
-            if self.graph.largest_white_component() >= self._threshold:
+            if newly:
+                recovered = graph.recovered_count
+                if recovered == self.k:
+                    return self._send(FeedbackKind.COMPLETE)
+                if degree_update_due(self._encoder_m, recovered / self.k, self.k, self.policy):
+                    return self._send(FeedbackKind.BETA_UPDATE)
+            return None
+        if newly and graph.recovered_count == self.k:
+            return self._send(FeedbackKind.COMPLETE)
+        if mirror is Phase.BUILD_UP:
+            if graph.largest_white_component() >= self._threshold:
                 # Remember one member of the threshold component; components
                 # only merge, so it stays inside as the component grows.
                 self._marker = cls.a if cls.case is Case.CASE2 else sym.indices[0]
                 return self._send(FeedbackKind.LARGEST_COMPONENT_REACHED)
         elif mirror is Phase.DEGREE1_SEEDING:
             if self._marker is not None:   # OFC: wait for the marked component
-                if self.graph.color[self._marker]:
+                if graph.color[self._marker]:
                     return self._send(FeedbackKind.COMPONENT_BLACK)
-            elif self.graph.recovered_count >= self._threshold:
+            elif graph.recovered_count >= self._threshold:
                 return self._send(FeedbackKind.BETA_UPDATE)
-        elif mirror is Phase.SYSTEMATIC:
+        elif mirror is _SYSTEMATIC:
             # seq k-1 is the last systematic slot; any larger seq means the
             # sender has moved on and some tail frames were erased.
             if seq is not None and seq >= self.k - 1:

@@ -320,12 +320,14 @@ def monte_carlo(
         raise ValueError("jobs must be >= 1")
     milestones = milestone_grid(k)
     tasks = [(config, k, eps, policy, seed, t, budget, milestones) for t in range(trials)]
-    if jobs > 1:
+    # The pool starts all its workers at once, so it gets no more than trials.
+    workers = min(jobs, trials)
+    if workers > 1:
         # imported here: the pool's modules are a tenth of the package's import time
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_trial_task, tasks, chunksize=max(1, trials // (4 * jobs))))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(_trial_task, tasks, chunksize=max(1, trials // (4 * workers))))
     else:
         rows = [_trial_task(t) for t in tasks]
 

@@ -5,6 +5,7 @@ import pytest
 from fountain_lab.degree import exact_case_probs
 from fountain_lab.graph import (
     Case,
+    Classification,
     CodedSymbol,
     ContractViolation,
     DecodeGraph,
@@ -329,3 +330,46 @@ def test_source_block_validation():
         SourceBlock(3, (b"a", b"b"))
     with pytest.raises(ValueError, match=r"payloads must share one length, got \[1, 2\]"):
         SourceBlock(2, (b"a", b"bc"))
+
+
+def _twin_step(g, s):
+    """``process`` spelled out as its documented steps."""
+    cls = g.classify(s)
+    if cls.case is Case.CASE1:
+        return cls, g.apply_case1(cls.target, cls.value)
+    if cls.case is Case.CASE2:
+        g.apply_case2(cls.a, cls.b, cls.xor)
+    return cls, []
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["counting", "full"])
+@pytest.mark.parametrize("k,n_symbols", [(50, 400), (1000, 1500)])
+def test_process_equals_classify_then_apply(k, n_symbols, full):
+    rng = random.Random(k + full)
+    blk = SourceBlock.random(k, 8, random.Random(k)) if full else None
+    g = DecodeGraph(k, track_values=full)
+    twin = DecodeGraph(k, track_values=full)
+    seen = set()
+    for n in range(n_symbols):
+        # a degree-2 build-up grows components until edges close cycles; then
+        # degrees 1-6 peel them
+        degree = 2 if n < n_symbols // 2 else rng.randint(1, 6)
+        indices = tuple(sorted(rng.sample(range(k), degree)))
+        s = CodedSymbol(indices, blk.encode(indices) if full else None)
+        got = g.process(s)
+        want = _twin_step(twin, s)
+        assert got == want
+        cls = got[0]
+        seen.add(cls.case)
+        # a classification equals the keyword-built one, field by field
+        assert type(cls) is Classification
+        by_keyword = Classification(**cls._asdict())
+        for name in Classification._fields:
+            assert getattr(cls, name) == getattr(by_keyword, name)
+            assert type(getattr(cls, name)) is type(getattr(by_keyword, name))
+        assert g.color == twin.color
+        assert g.values == twin.values
+        assert g.recovered_count == twin.recovered_count
+        assert g.largest_white_component() == twin.largest_white_component()
+        assert g.component_histogram() == twin.component_histogram()
+    assert seen == set(Case)

@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+import fountain_lab.schemes as schemes
 from fountain_lab.degree import optimal_degree, useful_prob
 from fountain_lab.graph import CodedSymbol, SourceBlock
 from fountain_lab.schemes import (
@@ -511,3 +512,40 @@ def test_sampler_pool_replay_either_side_of_its_k_threshold(k, m):
         assert got == tuple(sorted(ref.sample(range(k), m)))
         assert {type(i) for i in got} == {int}
     assert enc.rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("k", [22, 23, 1000, 1024, 1025, 4096, 100000, 131072, 131073])
+def test_sampler_degree_two_reproduces_random_sample(k):
+    # k = 22 is the first k whose degree 2 takes the set branch; at small k
+    # the second draw often repeats the first
+    enc, ref = _sampler_encoder(k, seed=k)
+    for _ in range(60):
+        got = enc._sample(2)
+        assert got == tuple(sorted(ref.sample(range(k), 2)))
+        assert enc.rng.getstate() == ref.getstate()
+
+
+# random.sample's set size, 21 + 4 ** ceil(log4(3m)) for m > 5, on either
+# side of each of its steps: it takes the pool branch iff k <= set size.
+_SET_SIZE = {5: 21, 6: 85, 21: 85, 22: 277, 85: 277, 86: 1045, 341: 1045, 342: 4117}
+
+
+@pytest.mark.parametrize(
+    "k,m",
+    [(k, m) for lo, hi in ((5, 6), (21, 22), (85, 86), (341, 342))
+     for k in sorted({_SET_SIZE[lo], _SET_SIZE[lo] + 1, _SET_SIZE[hi], _SET_SIZE[hi] + 1})
+     for m in (lo, hi) if m <= k],
+)
+def test_sampler_set_or_pool_decision_at_set_size_steps(monkeypatch, k, m):
+    pooled = []
+    for name in ("_pool_sample", "_bulk_pool_sample"):
+        def spy(getrandbits, k, m, _fn=getattr(schemes, name)):
+            pooled.append(m)
+            return _fn(getrandbits, k, m)
+
+        monkeypatch.setattr(schemes, name, spy)
+    enc, ref = _sampler_encoder(k, seed=k + m)
+    for _ in range(3):
+        assert enc._sample(m) == tuple(sorted(ref.sample(range(k), m)))
+    assert enc.rng.getstate() == ref.getstate()
+    assert pooled == ([m] * 3 if k <= _SET_SIZE[m] else [])

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import fountain_lab
-from fountain_lab.graph import SourceBlock
-from fountain_lab.schemes import OFC, OFCNB, SOFC, EveryDegreeChange, Threshold
+from fountain_lab.channel import ErasureChannel
+from fountain_lab.graph import Case, DecodeGraph, SourceBlock
+from fountain_lab.schemes import OFC, OFCNB, SOFC, Encoder, EveryDegreeChange, Receiver, Threshold
 from fountain_lab.sim import (
     CSV_HEADER,
     SessionResult,
@@ -30,6 +31,7 @@ from fountain_lab.sim import (
     summary_json,
     sweep_epsilon,
 )
+from fountain_lab.wire import transfer
 
 
 def test_sofc_lossless_is_exactly_systematic():
@@ -392,3 +394,75 @@ def test_crossover_on_exact_zero_diff_and_without_sign_change():
     assert zero_first.crossover == 0.1
     never = SweepResult(10, [SweepPoint(0.1, 4.0, 5.0), SweepPoint(0.2, 4.5, 5.0)])
     assert never.crossover is None
+
+
+
+def test_monte_carlo_pool_has_no_more_workers_than_trials(monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    pooled = monte_carlo(OFC(), 60, 0.1, trials=2, seed=4, jobs=8)
+    assert sizes == [2]
+    serial = monte_carlo(OFC(), 60, 0.1, trials=2, seed=4, jobs=1)
+    assert aggregate_csv(pooled) == aggregate_csv(serial)
+    assert summary_json(pooled) == summary_json(serial)
+    monte_carlo(OFC(), 60, 0.1, trials=5, seed=4, jobs=3)
+    assert sizes == [2, 3]
+
+def _count_layer_calls(monkeypatch):
+    """Wrap the per-symbol layer methods; returns call counts by name."""
+    calls = dict.fromkeys(
+        ["next_symbol", "deliver", "receive", "process", "classify", "apply_case1", "apply_case2"], 0
+    )
+    calls.update({case: 0 for case in Case})
+    for owner, name in [
+        (Encoder, "next_symbol"), (ErasureChannel, "deliver"), (Receiver, "receive"),
+        (DecodeGraph, "process"), (DecodeGraph, "classify"), (DecodeGraph, "apply_case1"),
+        (DecodeGraph, "apply_case2"),
+    ]:
+        def counted(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            result = _fn(*args, **kwargs)
+            if _name == "classify":
+                calls[result.case] += 1
+            return result
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _check_layer_calls(calls, data_sent, delivered):
+    assert calls["next_symbol"] == calls["deliver"] == data_sent
+    assert calls["receive"] == calls["process"] == calls["classify"] == delivered
+    assert calls["apply_case1"] == calls[Case.CASE1] > 0
+    assert calls["apply_case2"] == calls[Case.CASE2] > 0
+
+
+@pytest.mark.parametrize("config", [OFC(), OFCNB(0.01), SOFC()], ids=["ofc", "ofcnb", "sofc"])
+def test_every_layer_runs_once_per_symbol(monkeypatch, config):
+    # perfbench splits a session's time by wrapping these methods, so each
+    # must stay a call of its own on the per-symbol path
+    calls = _count_layer_calls(monkeypatch)
+    r = run_session(config, 200, 0.1, seed=2)
+    _check_layer_calls(calls, r.sent_total, r.received_total)
+
+    calls = _count_layer_calls(monkeypatch)
+    _, report = transfer(bytes(range(256)) * 16, config, 0.1, seed=2, symbol_size=32)
+    _check_layer_calls(calls, report.frames_sent - report.header_attempts, report.frames_delivered)

@@ -22,6 +22,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+import numpy as np
+
 __all__ = [
     "ContractViolation",
     "MalformedSymbol",
@@ -42,10 +44,22 @@ class MalformedSymbol(ValueError):
     """A coded symbol references indices outside the source block."""
 
 
+# From this payload length on, xor_bytes XORs numpy views of the two payloads
+# instead of converting them to ints and back.  Per call on 2 vCPUs with
+# CPython 3.11 and numpy 2.4, ints against numpy: 1.10 against 1.28 us at
+# 64 B, 1.10 against 1.48 us at 192 B, 1.68 against 1.59 us at 256 B, 2.6
+# against 1.6 us at 512 B and 4.9 against 1.65 us at 1 KiB.
+_NUMPY_XOR_MIN = 256
+_frombuffer, _bitwise_xor, _uint8 = np.frombuffer, np.bitwise_xor, np.uint8
+
+
 def xor_bytes(a: bytes, b: bytes) -> bytes:
-    if len(a) != len(b):
-        raise ValueError(f"payload length mismatch: {len(a)} vs {len(b)}")
-    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
+    n = len(a)
+    if n != len(b):
+        raise ValueError(f"payload length mismatch: {n} vs {len(b)}")
+    if n >= _NUMPY_XOR_MIN:
+        return _bitwise_xor(_frombuffer(a, _uint8), _frombuffer(b, _uint8)).tobytes()
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(n, "big")
 
 
 @dataclass(frozen=True)

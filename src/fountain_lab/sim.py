@@ -320,17 +320,24 @@ def monte_carlo(
         raise ValueError("jobs must be >= 1")
     milestones = milestone_grid(k)
     tasks = [(config, k, eps, policy, seed, t, budget, milestones) for t in range(trials)]
-    # The pool starts all its workers at once, so it gets no more than trials.
-    workers = min(jobs, trials)
-    if workers > 1:
-        # imported here: the pool's modules are a tenth of the package's import time
-        from concurrent.futures import ProcessPoolExecutor
+    return _aggregate(config, k, eps, policy, milestones, _run_trials(tasks, jobs))
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_trial_task, tasks, chunksize=max(1, trials // (4 * workers))))
-    else:
-        rows = [_trial_task(t) for t in tasks]
 
+def _run_trials(tasks: list, jobs: int) -> list:
+    """``_trial_task`` over ``tasks``, in order, on up to ``jobs`` processes."""
+    # The pool starts all its workers at once, so it gets no more than tasks.
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        return [_trial_task(t) for t in tasks]
+    # imported here: the pool's modules are a tenth of the package's import time
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_trial_task, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+
+
+def _aggregate(config, k, eps, policy, milestones, rows) -> AggregateResult:
+    """Merge one (config, eps) group's ``_trial_task`` rows, in trial order."""
     sent_matrix = np.vstack([r[0] for r in rows])
     fulls = np.array([r[1] for r in rows])
     fb_full = np.array([r[2] for r in rows], dtype=float)
@@ -352,7 +359,7 @@ def monte_carlo(
         eps=eps,
         gamma0=config.gamma0 if isinstance(config, OFCNB) else None,
         policy=policy_label(policy),
-        trials=trials,
+        trials=len(rows),
         milestones=milestones,
         sent_mean=sent_mean,
         sent_std=sent_std,
@@ -417,14 +424,29 @@ def sweep_epsilon(
     seed: int = 0,
     jobs: int = 1,
 ) -> SweepResult:
-    """Full-recovery comparison of the systematic and two-phase schemes per eps."""
+    """Full-recovery comparison of the systematic and two-phase schemes per eps.
+
+    Every (eps, scheme, trial) session runs on one pool of up to ``jobs``
+    processes; each (eps, scheme) group is merged as ``monte_carlo`` merges
+    it, so the result is the same for any ``jobs``.
+    """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    points = []
-    for eps in eps_grid:
-        sofc = monte_carlo(SOFC(), k, eps, trials, seed=seed, jobs=jobs)
-        ofc = monte_carlo(OFC(), k, eps, trials, seed=seed, jobs=jobs)
-        points.append(SweepPoint(float(eps), sofc.overhead_mean * k, ofc.overhead_mean * k))
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    grid = list(eps_grid)
+    milestones = milestone_grid(k)
+    policy = EveryDegreeChange()
+    groups = [(eps, config) for eps in grid for config in (SOFC(), OFC())]
+    tasks = [
+        (config, k, eps, policy, seed, t, None, milestones) for eps, config in groups for t in range(trials)
+    ]
+    rows = _run_trials(tasks, jobs)
+    sent = [
+        _aggregate(config, k, eps, policy, milestones, rows[g * trials:(g + 1) * trials]).overhead_mean * k
+        for g, (eps, config) in enumerate(groups)
+    ]
+    points = [SweepPoint(float(eps), sofc, ofc) for eps, sofc, ofc in zip(grid, sent[0::2], sent[1::2])]
     return SweepResult(k, points)
 
 

@@ -126,6 +126,7 @@ _FEEDBACK = struct.Struct(_START.format + "QBI")        # session_id fb_kind rec
 _HEADER = struct.Struct(_START.format + "QIHQ")         # session_id k symbol_size original_len
 _PAYLOAD_LEN = struct.Struct(">H")
 _CRC = struct.Struct(">I")
+_new = object.__new__
 
 
 def _seal(body: bytes) -> bytes:
@@ -135,13 +136,19 @@ def _seal(body: bytes) -> bytes:
 def encode_data(sym: CodedSymbol, session_id: int, seq_no: int) -> bytes:
     """Serialize a coded symbol; a None payload encodes as zero length."""
     payload = sym.payload or b""
-    if len(payload) > 0xFFFF:
+    payload_len = len(payload)
+    if payload_len > 0xFFFF:
         raise ValueError("payload too large for the 2-byte length field")
-    if sym.degree > 0xFFFF:
+    indices = sym.indices
+    degree = len(indices)
+    if degree > 0xFFFF:
         raise ValueError("degree too large for the 2-byte degree field")
-    head = _DATA.pack(MAGIC, VERSION, TYPE_DATA, session_id, seq_no, sym.degree)
-    indices = struct.pack(f">{sym.degree}I", *sym.indices)
-    return _seal(head + indices + _PAYLOAD_LEN.pack(len(payload)) + payload)
+    return _seal(b"".join((
+        _DATA.pack(MAGIC, VERSION, TYPE_DATA, session_id, seq_no, degree),
+        struct.pack(f">{degree}I", *indices),
+        _PAYLOAD_LEN.pack(payload_len),
+        payload,
+    )))
 
 
 def encode_feedback(msg: FeedbackMsg, session_id: int) -> bytes:
@@ -170,9 +177,9 @@ def _sealed(buf: bytes, n: int) -> None:
 def decode_frame(buf: bytes) -> DataFrame | FeedbackFrame | SessionHeader:
     """Parse exactly one frame; anything else raises FrameError with a code."""
     _need(buf, _START.size)
-    magic, version, ftype = _START.unpack_from(buf)
-    if magic != MAGIC:
-        raise FrameError("bad-magic", magic.hex())
+    if buf[:2] != MAGIC:
+        raise FrameError("bad-magic", buf[:2].hex())
+    version, ftype = buf[2], buf[3]
     if version != VERSION:
         raise FrameError("bad-version", str(version))
     if ftype == TYPE_DATA:
@@ -180,12 +187,20 @@ def decode_frame(buf: bytes) -> DataFrame | FeedbackFrame | SessionHeader:
         _, _, _, session_id, seq_no, degree = _DATA.unpack_from(buf)
         total = _DATA.size + 4 * degree + _PAYLOAD_LEN.size
         _need(buf, total)
-        (payload_len,) = _PAYLOAD_LEN.unpack_from(buf, total - _PAYLOAD_LEN.size)
-        _sealed(buf, total + payload_len)
+        end = total + (buf[total - 2] << 8 | buf[total - 1])
+        _sealed(buf, end)
         indices = struct.unpack_from(f">{degree}I", buf, _DATA.size)
         if degree < 1 or not all(map(operator.lt, indices, indices[1:])):
             raise FrameError("malformed-frame", "indices not strictly increasing")
-        return DataFrame(session_id, seq_no, indices, buf[total:total + payload_len])
+        # Built like CodedSymbol._trusted: every field is checked above, so
+        # the frozen __init__ and its four object.__setattr__ calls are skipped.
+        frame = _new(DataFrame)
+        attrs = frame.__dict__
+        attrs["session_id"] = session_id
+        attrs["seq_no"] = seq_no
+        attrs["indices"] = indices
+        attrs["payload"] = buf[total:end]
+        return frame
     if ftype == TYPE_FEEDBACK:
         _sealed(buf, _FEEDBACK.size)
         _, _, _, session_id, kind, recovered = _FEEDBACK.unpack_from(buf)
@@ -228,7 +243,12 @@ class _FramedLink:
 
     def receive(self, frame: bytes) -> tuple[CodedSymbol, int]:
         parsed = self._decode(frame, DataFrame)
-        return CodedSymbol._trusted(parsed.indices, parsed.payload), parsed.seq_no
+        # CodedSymbol._trusted inline: decode_frame has checked the indices.
+        sym = _new(CodedSymbol)
+        attrs = sym.__dict__
+        attrs["indices"] = parsed.indices
+        attrs["payload"] = parsed.payload
+        return sym, parsed.seq_no
 
     def feedback(self, msg: FeedbackMsg) -> FeedbackMsg:
         fb = self._decode(encode_feedback(msg, self.session_id), FeedbackFrame)

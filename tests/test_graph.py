@@ -323,6 +323,31 @@ def test_xor_bytes_rejects_length_mismatch():
         xor_bytes(b"ab", b"abc")
 
 
+@pytest.mark.parametrize("size", [0, 1, 64, 255, 256, 257, 1024, 65535])
+def test_xor_bytes_matches_bytewise_reference(size):
+    rng = random.Random(size)
+    r1, r2 = rng.randbytes(size), rng.randbytes(size)
+    leading_zeros = bytes(size // 2) + rng.randbytes(size - size // 2)
+    pairs = [
+        (bytes(size), bytes(size)),
+        (bytes(size), r1),
+        (leading_zeros, r1),
+        (leading_zeros, leading_zeros),
+        (r1, r1),
+        (r1, r2),
+    ]
+    for a, b in pairs:
+        got = xor_bytes(a, b)
+        assert type(got) is bytes
+        assert got == bytes(x ^ y for x, y in zip(a, b))
+
+
+def test_xor_bytes_length_mismatch_message_on_both_sides_of_the_cutoff():
+    for a, b in [(bytes(300), bytes(301)), (bytes(301), bytes(300)), (bytes(10), bytes(300))]:
+        with pytest.raises(ValueError, match=f"^payload length mismatch: {len(a)} vs {len(b)}$"):
+            xor_bytes(a, b)
+
+
 def test_source_block_validation():
     with pytest.raises(ValueError, match="need k >= 2 source symbols, got 1"):
         SourceBlock(1, (b"a",))

@@ -426,6 +426,42 @@ def test_monte_carlo_pool_has_no_more_workers_than_trials(monkeypatch):
     monte_carlo(OFC(), 60, 0.1, trials=5, seed=4, jobs=3)
     assert sizes == [2, 3]
 
+
+def test_sweep_runs_every_session_on_one_pool(monkeypatch):
+    import concurrent.futures
+
+    pools = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: records each pool, maps in-process."""
+
+        def __init__(self, max_workers):
+            pools.append({"workers": max_workers, "tasks": 0})
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            tasks = list(iterable)
+            pools[-1]["tasks"] += len(tasks)
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    grid = [0.05, 0.3, 0.6]
+    pooled = sweep_epsilon(80, grid, trials=3, seed=9, jobs=2)
+    assert pools == [{"workers": 2, "tasks": 3 * 2 * 3}]
+    serial = sweep_epsilon(80, grid, trials=3, seed=9, jobs=1)
+    assert len(pools) == 1
+    assert pooled == serial
+    assert [p.eps for p in pooled.points] == grid
+    for p in pooled.points:
+        assert p.sofc_mean_sent == monte_carlo(SOFC(), 80, p.eps, 3, seed=9).overhead_mean * 80
+        assert p.ofc_mean_sent == monte_carlo(OFC(), 80, p.eps, 3, seed=9).overhead_mean * 80
+    assert len(pools) == 1
+
 def _count_layer_calls(monkeypatch):
     """Wrap the per-symbol layer methods; returns call counts by name."""
     calls = dict.fromkeys(

@@ -89,6 +89,49 @@ def test_decode_error_codes():
     assert e.value.code == "length-mismatch"
 
 
+def test_data_frame_decode_errors_pin_code_and_message():
+    good = bytes.fromhex(GOLDEN_DATA_HEX)      # 36 bytes: 22 fixed, 4 index, 2 length, 4 payload, 4 CRC
+    cases = [
+        (good[:0], "truncated: need 4 bytes, have 0"),
+        (good[:3], "truncated: need 4 bytes, have 3"),
+        (good[:10], "truncated: need 22 bytes, have 10"),     # fixed fields
+        (good[:25], "truncated: need 28 bytes, have 25"),     # indices and payload length
+        (good[:30], "truncated: need 36 bytes, have 30"),     # payload and CRC
+        (good + b"\x00", "length-mismatch: 37 != 36"),
+        (corrupt(good, 0), "bad-magic: 4e46"),
+        (corrupt(good, 1, 0x80), "bad-magic: 4fc6"),
+        (corrupt(good, 2), "bad-version: 0"),
+        (corrupt(good, 3, 0x40), "bad-frame-type: 64"),
+        # payload length 4 -> 5 with one byte more: the right length, the wrong CRC
+        (corrupt(good, 27) + b"\x00", "crc-mismatch"),
+        # payload length 4 -> 0 without the payload
+        (corrupt(good, 27, 0x04)[:28] + good[-4:], "crc-mismatch"),
+    ]
+    import struct
+    import zlib
+
+    body = bytes.fromhex("4f460100") + struct.pack(">QQH", 1, 0, 0) + struct.pack(">H", 0)
+    cases.append((body + struct.pack(">I", zlib.crc32(body)),
+                  "malformed-frame: indices not strictly increasing"))
+    for buf, message in cases:
+        with pytest.raises(FrameError) as e:
+            decode_frame(buf)
+        assert str(e.value) == message
+        assert e.value.code == message.split(":")[0]
+
+
+def test_decoded_data_frame_is_a_plain_dataclass():
+    frame = decode_frame(encode_data(CodedSymbol((1, 4, 9), b"\x00\x07" * 300), 5, 11))
+    assert type(frame) is DataFrame
+    assert frame == DataFrame(session_id=5, seq_no=11, indices=(1, 4, 9), payload=b"\x00\x07" * 300)
+    assert hash(frame) == hash(DataFrame(5, 11, (1, 4, 9), b"\x00\x07" * 300))
+    assert type(frame.payload) is bytes and type(frame.indices) is tuple
+    moved = dataclasses.replace(frame, seq_no=12)
+    assert moved == DataFrame(5, 12, (1, 4, 9), b"\x00\x07" * 300)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        frame.seq_no = 3
+
+
 def test_decode_rejects_unsorted_indices():
     # handcraft a crc-valid frame with decreasing indices
     import struct

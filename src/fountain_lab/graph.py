@@ -51,6 +51,17 @@ class MalformedSymbol(ValueError):
 # against 1.6 us at 512 B and 4.9 against 1.65 us at 1 KiB.
 _NUMPY_XOR_MIN = 256
 _frombuffer, _bitwise_xor, _uint8 = np.frombuffer, np.bitwise_xor, np.uint8
+_xor_reduce = np.bitwise_xor.reduce
+
+# From this many recovered constituents on, classify XORs them out of a
+# symbol in one numpy reduce instead of one xor_bytes call each.  Per
+# classify on 2 vCPUs with CPython 3.11 and numpy 2.4, the reduce stops
+# losing to the loop at 7-8 constituents at 16 B, 6 at 64 B and 3 at 256 B
+# and 1 KiB; at 64 constituents it is 2.5x, 4.0x, 5.7x and 5.6x faster.
+_REDUCE_XOR_MIN = 8
+# At most this many bytes are joined for one reduce; longer runs are folded
+# into the residual pass by pass, so the temporaries stay bounded.
+_REDUCE_XOR_BYTES = 1 << 20
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
@@ -231,7 +242,10 @@ class DecodeGraph:
         """Reduce a symbol against recovered values; the graph is not modified.
 
         Only CASE1 and CASE2 carry a residual, so only they XOR out the
-        recovered constituents.
+        recovered constituents: with fewer than ``_REDUCE_XOR_MIN`` of them,
+        one ``xor_bytes`` call each; from there on, one numpy XOR reduce
+        over the payload and their values, at most ``_REDUCE_XOR_BYTES`` at a
+        time.  Both give the same bytes and raise the same errors.
         """
         indices = sym.indices
         k = self.k
@@ -250,9 +264,22 @@ class DecodeGraph:
         residual = sym.payload
         if residual is not None and self.track_values and n < len(indices):
             values = self.values
-            for i in indices:
-                if color[i]:
-                    residual = xor_bytes(residual, values[i])  # type: ignore[arg-type]
+            if len(indices) - n < _REDUCE_XOR_MIN:
+                for i in indices:
+                    if color[i]:
+                        residual = xor_bytes(residual, values[i])  # type: ignore[arg-type]
+            else:
+                known: list = [values[i] for i in indices if color[i]]
+                size = len(residual)
+                if size and all(len(v) == size for v in known):
+                    step = max(1, _REDUCE_XOR_BYTES // size - 1)   # values per pass
+                    for start in range(0, len(known), step):
+                        part = known[start:start + step]
+                        block = _frombuffer(b"".join((residual, *part)), _uint8)
+                        residual = _xor_reduce(block.reshape(len(part) + 1, size), axis=0).tobytes()
+                else:   # the loop raises its error at the first bad value
+                    for v in known:
+                        residual = xor_bytes(residual, v)
         if n == 1:
             return _positional(Classification, (_CASE1, unknown[0], residual, None, None, None))
         return _positional(Classification, (_CASE2, None, None, unknown[0], unknown[1], residual))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import fountain_lab.graph as graph
 from fountain_lab.degree import exact_case_probs
 from fountain_lab.graph import (
     Case,
@@ -346,6 +347,98 @@ def test_xor_bytes_length_mismatch_message_on_both_sides_of_the_cutoff():
     for a, b in [(bytes(300), bytes(301)), (bytes(301), bytes(300)), (bytes(10), bytes(300))]:
         with pytest.raises(ValueError, match=f"^payload length mismatch: {len(a)} vs {len(b)}$"):
             xor_bytes(a, b)
+
+
+def _reduction_case(k, size, recovered, unknowns, seed):
+    """A graph with ``recovered`` seeded black nodes and a symbol over all of
+    them plus ``unknowns`` (1 or 2) white nodes in distinct components."""
+    rng = random.Random(seed)
+    g = DecodeGraph(k)
+    nodes = rng.sample(range(k), k)
+    black, white = sorted(nodes[:recovered]), nodes[recovered:]
+    for i in black:
+        g.apply_case1(i, rng.randbytes(size))
+    if len(white) >= 3:   # the first unknown sits in a white component of two
+        g.apply_case2(white[0], white[2], rng.randbytes(size))
+    return g, CodedSymbol(tuple(sorted(black + white[:unknowns])), rng.randbytes(size))
+
+
+@pytest.mark.parametrize("size", [16, 1024])
+@pytest.mark.parametrize("recovered", [2, 3, 64, 79])
+def test_classify_xor_length_mismatch_names_the_first_bad_constituent(size, recovered):
+    for unknowns in (1, 2):
+        g, s = _reduction_case(80, size, min(recovered, 80 - unknowns), unknowns, seed=size + recovered)
+        black = [i for i in s.indices if g.color[i]]
+        good = list(g.values)
+        g.values[black[-1]] = bytes(size + 2)
+        g.values[black[1]] = bytes(size + 1)           # the first wrong length in index order
+        with pytest.raises(ValueError, match=f"^payload length mismatch: {size} vs {size + 1}$"):
+            g.classify(s)
+        if len(black) > 2:
+            g.values[black[-1]] = None                  # after the wrong length: still ValueError
+            with pytest.raises(ValueError, match=f"^payload length mismatch: {size} vs {size + 1}$"):
+                g.classify(s)
+        g.values[black[0]] = None                       # before it: the loop's TypeError
+        with pytest.raises(TypeError, match="^object of type 'NoneType' has no len\\(\\)$"):
+            g.classify(s)
+        g.values[:] = good
+        wrong_payload = CodedSymbol(s.indices, bytes(size + 3))
+        with pytest.raises(ValueError, match=f"^payload length mismatch: {size + 3} vs {size}$"):
+            g.classify(wrong_payload)
+
+
+def _classify_against_chained_xor(g, s):
+    """``classify`` equals the chained-``xor_bytes`` residual and changes no state."""
+    want = s.payload
+    for i in s.indices:
+        if g.color[i]:
+            want = xor_bytes(want, g.values[i])
+    state = (bytes(g.color), list(g.values), [list(a) for a in g.adj], list(g._size))
+    roots = [g.find(i) for i in range(g.k)]
+    unknowns = sum(not g.color[i] for i in s.indices)
+    got = g.classify(s)
+    assert got.case is (Case.CASE1 if unknowns == 1 else Case.CASE2)
+    residual = got.value if got.case is Case.CASE1 else got.xor
+    assert type(residual) is bytes and residual == want
+    assert (bytes(g.color), list(g.values), [list(a) for a in g.adj], list(g._size)) == state
+    assert [g.find(i) for i in range(g.k)] == roots
+
+
+@pytest.mark.parametrize("size", [0, 1, 3, 16, 64, 255, 256, 1024, 4099])
+def test_classify_batched_xor_equals_chained_xor_bytes(size):
+    k, cut = 80, graph._REDUCE_XOR_MIN
+    for recovered in (0, 1, 2, cut - 1, cut, cut + 1, 64, k - 1):
+        for unknowns in (1, 2):
+            g, s = _reduction_case(k, size, min(recovered, k - unknowns), unknowns, seed=size * recovered)
+            _classify_against_chained_xor(g, s)
+
+
+def test_classify_xor_folds_runs_over_the_byte_budget(monkeypatch):
+    k, size = 600, 4099
+    assert (k - 1) * size > graph._REDUCE_XOR_BYTES   # three passes at the real budget
+    for budget in (graph._REDUCE_XOR_BYTES, 1, 3 * size, 5 * size + 1):
+        monkeypatch.setattr(graph, "_REDUCE_XOR_BYTES", budget)
+        for unknowns in (1, 2):
+            g, s = _reduction_case(k, size, k - unknowns, unknowns, seed=budget + unknowns)
+            _classify_against_chained_xor(g, s)
+
+
+def test_classify_xor_calls_per_constituent_below_the_cutoff_none_from_it(monkeypatch):
+    cut = graph._REDUCE_XOR_MIN
+    calls = []
+
+    def counting_xor(a, b):
+        calls.append(1)
+        return xor_bytes(a, b)
+
+    monkeypatch.setattr("fountain_lab.graph.xor_bytes", counting_xor)
+    for recovered, want in ((1, 1), (cut - 1, cut - 1), (cut, 0), (cut + 1, 0), (64, 0)):
+        for size in (16, 1024):
+            for unknowns in (1, 2):
+                g, s = _reduction_case(80, size, recovered, unknowns, seed=recovered)
+                calls.clear()
+                g.classify(s)
+                assert len(calls) == want
 
 
 def test_source_block_validation():

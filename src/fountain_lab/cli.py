@@ -166,6 +166,29 @@ def cmd_transfer(args) -> int:
     return EXIT_OK
 
 
+# Every flag, declared once: option string -> add_argument keywords.  Only
+# transfer's --out, an optional output of another kind, is declared apart.
+_FLAGS = {
+    "--in": dict(dest="infile", required=True, help="file to transfer"),
+    "--scheme": dict(choices=["ofc", "ofcnb", "sofc"], required=True, help="coding scheme"),
+    "--gamma0": dict(type=float, default=None, help="seeding fraction (ofcnb only)"),
+    "--k": dict(type=int, default=1000, help="source symbols (default 1000)"),
+    "--eps": dict(type=float, default=0.0, help="erasure rate (default 0)"),
+    "--eps-list": dict(dest="eps_list", required=True,
+                       help="comma-separated erasure rates, e.g. 0.1,0.3267,0.5"),
+    "--seed": dict(type=int, default=None, help="master seed (default: FOUNTAIN_LAB_SEED or 0)"),
+    "--trials": dict(type=int, default=200, help="Monte Carlo trials (default 200)"),
+    "--jobs": dict(type=int, default=1, help="trial parallelism (output-invariant)"),
+    "--beta0": dict(type=float, default=None, help="component threshold (ofc only)"),
+    "--symbol-size": dict(dest="symbol_size", type=int, default=1024, help="bytes per symbol (default 1024)"),
+    "--policy": dict(choices=["every", "threshold"], default="every", help="feedback policy (default every)"),
+    "--delta-p": dict(dest="delta_p", type=float, default=None,
+                      help="usable-probability gain that triggers feedback (threshold only, default 0.01)"),
+    "--budget": dict(type=int, default=None, help="max sent symbols per trial (default 50*k)"),
+    "--out": dict(required=True, help="output CSV path"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fountain-lab",
@@ -173,67 +196,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--k", type=int, default=1000, help="source symbols (default 1000)")
-        p.add_argument("--eps", type=float, default=0.0, help="erasure rate (default 0)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="master seed (default: FOUNTAIN_LAB_SEED or 0)")
-        p.add_argument("--trials", type=int, default=200)
-        p.add_argument("--jobs", type=int, default=1, help="trial parallelism (output-invariant)")
+    def command(name, func, help, *flags):
+        p = sub.add_parser(name, help=help)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
 
-    def scheme_flags(p):
-        p.add_argument("--scheme", choices=["ofc", "ofcnb", "sofc"], required=True)
-        p.add_argument("--gamma0", type=float, default=None,
-                       help="seeding fraction (ofcnb only)")
-
-    def policy_flags(p):
-        p.add_argument("--policy", choices=["every", "threshold"], default="every")
-        p.add_argument("--delta-p", dest="delta_p", type=float, default=None)
-
-    p = sub.add_parser("predict", help="closed-form expected transmitted-count curve")
-    scheme_flags(p)
-    p.add_argument("--k", type=int, default=1000)
-    p.add_argument("--eps", type=float, default=0.0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("simulate", help="Monte Carlo aggregate curve (CSV + JSON summary)")
-    scheme_flags(p)
-    common(p)
-    p.add_argument("--beta0", type=float, default=None, help="component threshold (ofc only)")
-    policy_flags(p)
-    p.add_argument("--budget", type=int, default=None,
-                   help="max sent symbols per trial (default 50*k)")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("compare", help="analytic-vs-empirical relative error report")
-    scheme_flags(p)
-    common(p)
-    policy_flags(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("sweep", help="systematic-vs-two-phase full-recovery sweep over eps")
-    p.add_argument("--k", type=int, default=1000)
-    p.add_argument("--eps-list", dest="eps_list", required=True,
-                   help="comma-separated erasure rates, e.g. 0.1,0.3267,0.5")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("transfer", help="move a file through the framed lossy link")
-    p.add_argument("--in", dest="infile", required=True)
-    scheme_flags(p)
-    p.add_argument("--eps", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--symbol-size", dest="symbol_size", type=int, default=1024)
-    policy_flags(p)
+    command("predict", cmd_predict, "closed-form expected transmitted-count curve",
+            "--scheme", "--gamma0", "--k", "--eps", "--out")
+    command("simulate", cmd_simulate, "Monte Carlo aggregate curve (CSV + JSON summary)",
+            "--scheme", "--gamma0", "--k", "--eps", "--seed", "--trials", "--jobs", "--beta0",
+            "--policy", "--delta-p", "--budget", "--out")
+    command("compare", cmd_compare, "analytic-vs-empirical relative error report",
+            "--scheme", "--gamma0", "--k", "--eps", "--seed", "--trials", "--jobs",
+            "--policy", "--delta-p", "--out")
+    command("sweep", cmd_sweep, "systematic-vs-two-phase full-recovery sweep over eps",
+            "--k", "--eps-list", "--trials", "--seed", "--jobs", "--out")
+    p = command("transfer", cmd_transfer, "move a file through the framed lossy link",
+                "--in", "--scheme", "--gamma0", "--eps", "--seed", "--symbol-size", "--policy", "--delta-p")
     p.add_argument("--out", default=None, help="write the reconstructed bytes here")
-    p.set_defaults(func=cmd_transfer)
-
     return parser
 
 

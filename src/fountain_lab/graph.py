@@ -92,7 +92,11 @@ class CodedSymbol:
 
     @classmethod
     def _trusted(cls, indices: tuple[int, ...], payload: bytes | None) -> "CodedSymbol":
-        """Build a symbol whose indices the caller guarantees are valid (no check)."""
+        """Build a symbol whose indices the caller guarantees are valid (no check).
+
+        ``Encoder.next_symbol`` draws valid indices and ``_FramedLink.receive``
+        gets them from ``decode_frame``, which has checked them.
+        """
         sym = object.__new__(cls)
         attrs = sym.__dict__
         attrs["indices"] = indices
@@ -242,10 +246,12 @@ class DecodeGraph:
         """Reduce a symbol against recovered values; the graph is not modified.
 
         Only CASE1 and CASE2 carry a residual, so only they XOR out the
-        recovered constituents: with fewer than ``_REDUCE_XOR_MIN`` of them,
-        one ``xor_bytes`` call each; from there on, one numpy XOR reduce
-        over the payload and their values, at most ``_REDUCE_XOR_BYTES`` at a
-        time.  Both give the same bytes and raise the same errors.
+        recovered constituents, in index order, in one loop of ``xor_bytes``
+        calls.  From ``_REDUCE_XOR_MIN`` of them on, one numpy XOR reduce over
+        the payload and their values replaces the loop, at most
+        ``_REDUCE_XOR_BYTES`` at a time, and gives the same bytes; an empty
+        payload or a value of another length or None stays on the loop,
+        which raises its error.
         """
         indices = sym.indices
         k = self.k
@@ -264,22 +270,20 @@ class DecodeGraph:
         residual = sym.payload
         if residual is not None and self.track_values and n < len(indices):
             values = self.values
-            if len(indices) - n < _REDUCE_XOR_MIN:
+            size = len(residual)
+            known: list = []
+            if size and len(indices) - n >= _REDUCE_XOR_MIN:   # below it the list costs more than the loop
+                known = [values[i] for i in indices if color[i]]
+            if known and all(len(v) == size for v in known):
+                step = max(1, _REDUCE_XOR_BYTES // size - 1)   # values per pass
+                for start in range(0, len(known), step):
+                    part = known[start:start + step]
+                    block = _frombuffer(b"".join((residual, *part)), _uint8)
+                    residual = _xor_reduce(block.reshape(len(part) + 1, size), axis=0).tobytes()
+            else:
                 for i in indices:
                     if color[i]:
                         residual = xor_bytes(residual, values[i])  # type: ignore[arg-type]
-            else:
-                known: list = [values[i] for i in indices if color[i]]
-                size = len(residual)
-                if size and all(len(v) == size for v in known):
-                    step = max(1, _REDUCE_XOR_BYTES // size - 1)   # values per pass
-                    for start in range(0, len(known), step):
-                        part = known[start:start + step]
-                        block = _frombuffer(b"".join((residual, *part)), _uint8)
-                        residual = _xor_reduce(block.reshape(len(part) + 1, size), axis=0).tobytes()
-                else:   # the loop raises its error at the first bad value
-                    for v in known:
-                        residual = xor_bytes(residual, v)
         if n == 1:
             return _positional(Classification, (_CASE1, unknown[0], residual, None, None, None))
         return _positional(Classification, (_CASE2, None, None, unknown[0], unknown[1], residual))
@@ -288,36 +292,24 @@ class DecodeGraph:
         """Recover ``target`` and, via stored edges, its whole component.
 
         Returns every newly recovered (node, value) pair; traversed edges are
-        removed so edges never touch a black node.
+        removed so edges never touch a black node.  A counting graph
+        (``track_values=False``) peels through the same loop with None values.
         """
-        color, adj = self.color, self.adj
+        color, adj, values = self.color, self.adj, self.values
         if color[target]:
             raise ContractViolation(f"node {target} is already recovered")
         newly: list[tuple[int, bytes | None]] = []
         color[target] = 1
-        if self.track_values:
-            values = self.values
-            stack = [(target, value)]
-            while stack:
-                node, val = stack.pop()
-                values[node] = val
-                newly.append((node, val))
-                for nb, edge in adj[node]:
-                    if not color[nb]:
-                        color[nb] = 1
-                        stack.append((nb, xor_bytes(edge, val) if edge is not None and val is not None else None))
-                adj[node].clear()
-        else:
-            # Counting mode: every value is None, so only nodes are stacked.
-            nodes = [target]
-            while nodes:
-                node = nodes.pop()
-                newly.append((node, None))
-                for nb, _ in adj[node]:
-                    if not color[nb]:
-                        color[nb] = 1
-                        nodes.append(nb)
-                adj[node].clear()
+        stack = [(target, value if self.track_values else None)]
+        while stack:
+            node, val = stack.pop()
+            values[node] = val
+            newly.append((node, val))
+            for nb, edge in adj[node]:
+                if not color[nb]:
+                    color[nb] = 1
+                    stack.append((nb, xor_bytes(edge, val) if edge is not None and val is not None else None))
+            adj[node].clear()
         self.recovered_count += len(newly)
         if len(newly) >= self._largest:
             self._largest_dirty = True

@@ -480,12 +480,7 @@ class Encoder:
                 self.current_m = optimal_degree(self.known_beta, self.k)
             indices = self._sample(self.current_m)
         self._sent_in_phase += 1
-        # CodedSymbol._trusted, inline: the encoder's indices need no check.
-        sym = object.__new__(CodedSymbol)
-        attrs = sym.__dict__
-        attrs["indices"] = indices
-        attrs["payload"] = self.source.encode(indices) if self._carries_payloads else None
-        return sym
+        return CodedSymbol._trusted(indices, self.source.encode(indices) if self._carries_payloads else None)
 
     def on_feedback(self, msg: FeedbackMsg) -> None:
         phase = _next_phase(self.config, self.phase, msg.kind)
@@ -509,8 +504,9 @@ class Receiver:
     Mirrors the encoder's phase, advancing it by the same protocol table
     (``_TRANSITIONS``), so it knows which event to watch for: component-size
     threshold and component-black for OFC, the recovered-count threshold for
-    OFCNB, and end of the systematic pass for SOFC (detected from delivered
-    sequence numbers, so it works identically over the framed link).  During
+    OFCNB, and end of the systematic pass for SOFC (detected from the
+    delivered sequence number ``seq``, so it works identically over the
+    framed link; without ``seq``, from the symbol's indices).  During
     completion it applies the degree-update policy.  Emits at most one
     message per delivered symbol; COMPLETE subsumes anything else.
     """
@@ -550,21 +546,18 @@ class Receiver:
         """Process one delivered symbol; returns the feedback to send, if any."""
         graph = self.graph
         cls, newly = graph.process(sym)
-        mirror = self._mirror
         # Only the symbol that recovers the last node completes the graph, and
         # COMPLETE subsumes any other message.
+        if newly and graph.recovered_count == self.k:
+            return self._send(FeedbackKind.COMPLETE)
+        mirror = self._mirror
         if mirror is _COMPLETION:
             # beta only moves on a recovery; at an unchanged beta the encoder's
             # degree was already synced or found not due.
-            if newly:
-                recovered = graph.recovered_count
-                if recovered == self.k:
-                    return self._send(FeedbackKind.COMPLETE)
-                if degree_update_due(self._encoder_m, recovered / self.k, self.k, self.policy):
-                    return self._send(FeedbackKind.BETA_UPDATE)
+            if newly and degree_update_due(
+                    self._encoder_m, graph.recovered_count / self.k, self.k, self.policy):
+                return self._send(FeedbackKind.BETA_UPDATE)
             return None
-        if newly and graph.recovered_count == self.k:
-            return self._send(FeedbackKind.COMPLETE)
         if mirror is Phase.BUILD_UP:
             if graph.largest_white_component() >= self._threshold:
                 # Remember one member of the threshold component; components
@@ -579,7 +572,11 @@ class Receiver:
                 return self._send(FeedbackKind.BETA_UPDATE)
         elif mirror is _SYSTEMATIC:
             # seq k-1 is the last systematic slot; any larger seq means the
-            # sender has moved on and some tail frames were erased.
-            if seq is not None and seq >= self.k - 1:
+            # sender has moved on and some tail frames were erased.  Without
+            # seq the symbol shows it: systematic symbol i goes out in slot i,
+            # and every completion symbol has degree >= 2 (optimal_degree >= 2).
+            if seq is None:
+                seq = sym.indices[0] if len(sym.indices) == 1 else self.k
+            if seq >= self.k - 1:
                 return self._send(FeedbackKind.BETA_UPDATE)
         return None

@@ -20,7 +20,8 @@ Session header frame (type 2), sent once at setup::
 Indices are explicit (not a shared-seed schedule) because feedback makes the
 encoder's choices state-dependent; the receiver could not re-derive them.
 ``seq_no`` is the transmission slot, which lets the systematic scheme's
-receiver notice the end of the index pass even when tail frames are erased.
+receiver notice the end of the index pass even when tail frames are erased;
+a receiver fed without it reads the pass end from the symbol instead.
 
 :func:`transfer` runs the simulator's session loop over a framed link: each
 data symbol is encoded into a frame before the erasure channel decides its
@@ -243,12 +244,7 @@ class _FramedLink:
 
     def receive(self, frame: bytes) -> tuple[CodedSymbol, int]:
         parsed = self._decode(frame, DataFrame)
-        # CodedSymbol._trusted inline: decode_frame has checked the indices.
-        sym = _new(CodedSymbol)
-        attrs = sym.__dict__
-        attrs["indices"] = parsed.indices
-        attrs["payload"] = parsed.payload
-        return sym, parsed.seq_no
+        return CodedSymbol._trusted(parsed.indices, parsed.payload), parsed.seq_no
 
     def feedback(self, msg: FeedbackMsg) -> FeedbackMsg:
         fb = self._decode(encode_feedback(msg, self.session_id), FeedbackFrame)

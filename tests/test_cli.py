@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -209,3 +210,50 @@ def test_beta0_only_with_ofc(tmp_path, capsys):
     assert run("simulate", "--scheme", "ofc", "--beta0", "0.9", *base) == 0
     assert run("simulate", "--scheme", "ofc", *base) == 0
     assert run("simulate", "--scheme", "sofc", *base) == 0
+
+
+# Each subcommand parsed with only its required flags: today's defaults.
+_REQUIRED_ONLY = {
+    "predict": (["--scheme", "sofc", "--out", "o"],
+                dict(scheme="sofc", gamma0=None, k=1000, eps=0.0, out="o")),
+    "simulate": (["--scheme", "sofc", "--out", "o"],
+                 dict(scheme="sofc", gamma0=None, k=1000, eps=0.0, seed=None, trials=200, jobs=1,
+                      beta0=None, policy="every", delta_p=None, budget=None, out="o")),
+    "compare": (["--scheme", "sofc", "--out", "o"],
+                dict(scheme="sofc", gamma0=None, k=1000, eps=0.0, seed=None, trials=200, jobs=1,
+                     policy="every", delta_p=None, out="o")),
+    "sweep": (["--eps-list", "0.1", "--out", "o"],
+              dict(k=1000, eps_list="0.1", trials=200, seed=None, jobs=1, out="o")),
+    "transfer": (["--in", "f", "--scheme", "sofc"],
+                 dict(infile="f", scheme="sofc", gamma0=None, eps=0.0, seed=None, symbol_size=1024,
+                      policy="every", delta_p=None, out=None)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_REQUIRED_ONLY))
+def test_subcommand_defaults(command):
+    argv, expected = _REQUIRED_ONLY[command]
+    args = vars(cli.build_parser().parse_args([command, *argv]))
+    assert args.pop("command") == command
+    assert args.pop("func") is getattr(cli, f"cmd_{command}")
+    assert args == expected
+
+
+def _subcommands():
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_shared_flags_show_one_help_string():
+    helps: dict[str, set] = {}
+    for name, sub in _subcommands().items():
+        text = "".join(sub.format_help().split())
+        for action in sub._actions:
+            if name == "transfer" and action.dest == "out":
+                continue   # an optional output of another kind
+            assert action.help and "".join(action.help.split()) in text
+            for flag in action.option_strings:
+                helps.setdefault(flag, set()).add(action.help)
+    shared = {flag: h for flag, h in helps.items() if flag in ("--k", "--eps", "--seed", "--trials", "--jobs", "--out")}
+    assert len(shared) == 6
+    assert all(len(h) == 1 for h in helps.values()), helps

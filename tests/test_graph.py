@@ -491,3 +491,36 @@ def test_process_equals_classify_then_apply(k, n_symbols, full):
         assert g.largest_white_component() == twin.largest_white_component()
         assert g.component_histogram() == twin.component_histogram()
     assert seen == set(Case)
+
+
+def test_counting_graph_fed_payload_symbols_peels_with_none_values():
+    g = DecodeGraph(8, track_values=False)
+    for a, b in ((0, 1), (1, 2), (1, 3), (3, 4), (6, 7)):
+        cls, newly = g.process(sym(a, b, payload=b"\x11\x22"))
+        assert cls.case is Case.CASE2 and newly == []
+    cls, newly = g.process(sym(0, payload=b"\x33\x44"))
+    assert cls.case is Case.CASE1
+    assert newly == [(0, None), (1, None), (3, None), (4, None), (2, None)]
+    assert g.values == [None] * 8
+    assert all(not g.adj[node] for node, _ in newly)
+    assert g.recovered_count == 5
+
+
+def test_counting_and_full_graphs_recover_nodes_in_the_same_order():
+    rng = random.Random(11)
+    k = 60
+    blk = SourceBlock.random(k, 8, rng)
+    full = DecodeGraph(k)
+    bare = DecodeGraph(k, track_values=False)
+    bare_fed_payloads = DecodeGraph(k, track_values=False)
+    for _ in range(400):
+        indices = tuple(sorted(rng.sample(range(k), rng.choice((1, 2, 2, 2, 3, 9)))))
+        payload = blk.encode(indices)
+        _, got_full = full.process(CodedSymbol(indices, payload))
+        _, got_bare = bare.process(CodedSymbol(indices))
+        _, got_fed = bare_fed_payloads.process(CodedSymbol(indices, payload))
+        nodes = [node for node, _ in got_full]
+        assert [node for node, _ in got_bare] == nodes
+        assert got_fed == got_bare == [(node, None) for node in nodes]
+    assert full.complete and bare.complete
+    assert bare.values == bare_fed_payloads.values == [None] * k

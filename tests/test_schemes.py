@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 import fountain_lab.schemes as schemes
+from fountain_lab.channel import ErasureChannel
 from fountain_lab.degree import optimal_degree, useful_prob
 from fountain_lab.graph import CodedSymbol, SourceBlock
 from fountain_lab.schemes import (
@@ -22,6 +23,7 @@ from fountain_lab.schemes import (
     degree_update_due,
     scheme_name,
 )
+from fountain_lab.sim import run_session
 
 
 def make_encoder(config, k=20, seed=0):
@@ -549,3 +551,46 @@ def test_sampler_set_or_pool_decision_at_set_size_steps(monkeypatch, k, m):
         assert enc._sample(m) == tuple(sorted(ref.sample(range(k), m)))
     assert enc.rng.getstate() == ref.getstate()
     assert pooled == ([m] * 3 if k <= _SET_SIZE[m] else [])
+
+
+def test_receiver_sofc_without_seq_reads_the_pass_end_from_the_symbol():
+    k = 6
+    rcv = Receiver(k, SOFC(), track_values=False)
+    for i in range(4):
+        assert rcv.receive(CodedSymbol((i,))) is None
+    # index 4 erased; index k-1 is the last systematic symbol
+    msg = rcv.receive(CodedSymbol((k - 1,)))
+    assert msg is not None and msg.kind is FeedbackKind.BETA_UPDATE
+    assert msg.recovered == 5
+    # erased tail: the first completion symbol (degree >= 2) ends the pass
+    rcv = Receiver(k, SOFC(), track_values=False)
+    for i in range(4):
+        assert rcv.receive(CodedSymbol((i,))) is None
+    msg = rcv.receive(CodedSymbol((4, 5)))
+    assert msg is not None and msg.kind is FeedbackKind.BETA_UPDATE
+    assert msg.recovered == 4
+
+
+def _sofc_hand_session(k, eps, seed, with_seq):
+    """Encoder -> channel -> receiver -> encoder with zero feedback delay."""
+    enc = Encoder(SOFC(), SourceBlock(k, (b"",) * k), seed=seed)
+    rcv = Receiver(k, SOFC(), track_values=False)
+    chan = ErasureChannel(eps, seed=seed)
+    sent, msgs = 0, []
+    while enc.phase is not Phase.DONE and sent < 50 * k:
+        sym = enc.next_symbol()
+        if chan.deliver(sent):
+            msg = rcv.receive(sym, sent if with_seq else None)
+            if msg is not None:
+                msgs.append((sent, msg))
+                enc.on_feedback(msg)
+        sent += 1
+    return sent, msgs
+
+
+@pytest.mark.parametrize("k,eps,seed", [(50, 0.1, 1), (200, 0.3, 4), (20, 0.5, 2), (1000, 0.05, 3)])
+def test_sofc_session_without_seq_matches_the_session_with_it(k, eps, seed):
+    sent, msgs = _sofc_hand_session(k, eps, seed, with_seq=True)
+    assert _sofc_hand_session(k, eps, seed, with_seq=False) == (sent, msgs)
+    result = run_session(SOFC(), k, eps, seed=seed)
+    assert (sent, len(msgs)) == (result.sent_total, result.feedback_total)

@@ -41,7 +41,8 @@ class ContractViolation(RuntimeError):
 
 
 class MalformedSymbol(ValueError):
-    """A coded symbol references indices outside the source block."""
+    """A coded symbol references indices outside the source block, or its
+    payload is missing or of the wrong length for a value-tracking graph."""
 
 
 # From this payload length on, xor_bytes XORs numpy views of the two payloads
@@ -188,6 +189,16 @@ class DecodeGraph:
       * black count + sum of white-component sizes == k
       * edges only ever connect two white nodes
       * recovered_count never decreases
+
+    A fresh graph holds about 33 bytes per node and no object of its own per
+    node.  ``_parent[node]`` is -1 at a root (``find`` compresses paths to
+    it), so a fresh list shares one int.  ``adj[node]`` is the shared empty
+    tuple ``()`` while the node has no edge: its first edge makes it a list,
+    and peeling the node sets it back to ``()``.
+
+    A value-tracking graph rejects a CASE1 or CASE2 symbol that brings no
+    payload, or one of another length than the first payload it stored
+    (MalformedSymbol).
     """
 
     def __init__(self, k: int, track_values: bool = True):
@@ -197,9 +208,10 @@ class DecodeGraph:
         self.track_values = track_values
         self.color = bytearray(k)                 # 0 white, 1 black
         self.values: list[bytes | None] = [None] * k
-        self._parent = list(range(k))
+        self._parent = [-1] * k                   # -1 at a root
         self._size = [1] * k                      # valid at white roots
-        self.adj: list[list[tuple[int, bytes | None]]] = [[] for _ in range(k)]
+        self.adj: list[list[tuple[int, bytes | None]] | tuple[()]] = [()] * k
+        self._payload_len: int | None = None      # of the first stored payload
         self.recovered_count = 0
         self._largest = 1
         self._largest_dirty = False
@@ -207,11 +219,12 @@ class DecodeGraph:
     # -- union-find ----------------------------------------------------
 
     def find(self, x: int) -> int:
+        parent = self._parent
         root = x
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[x] != root:
-            self._parent[x], x = root, self._parent[x]
+        while parent[root] >= 0:
+            root = parent[root]
+        while x != root:
+            parent[x], x = root, parent[x]
         return root
 
     # -- queries ---------------------------------------------------------
@@ -251,7 +264,10 @@ class DecodeGraph:
         the payload and their values replaces the loop, at most
         ``_REDUCE_XOR_BYTES`` at a time, and gives the same bytes; an empty
         payload or a value of another length or None stays on the loop,
-        which raises its error.
+        which raises its error.  A value-tracking graph raises
+        MalformedSymbol for such a symbol without a payload, and for one with
+        no recovered constituent whose payload length is not that of the
+        first payload the graph stored.
         """
         indices = sym.indices
         k = self.k
@@ -268,22 +284,29 @@ class DecodeGraph:
         if n == 2 and self.find(unknown[0]) == self.find(unknown[1]):
             return _positional(Classification, (_CYCLE, None, None, unknown[0], unknown[1], None))
         residual = sym.payload
-        if residual is not None and self.track_values and n < len(indices):
-            values = self.values
-            size = len(residual)
-            known: list = []
-            if size and len(indices) - n >= _REDUCE_XOR_MIN:   # below it the list costs more than the loop
-                known = [values[i] for i in indices if color[i]]
-            if known and all(len(v) == size for v in known):
-                step = max(1, _REDUCE_XOR_BYTES // size - 1)   # values per pass
-                for start in range(0, len(known), step):
-                    part = known[start:start + step]
-                    block = _frombuffer(b"".join((residual, *part)), _uint8)
-                    residual = _xor_reduce(block.reshape(len(part) + 1, size), axis=0).tobytes()
+        if self.track_values:
+            if residual is None:
+                raise MalformedSymbol(f"symbol over unknown nodes {unknown} brings no payload")
+            if n == len(indices):   # no XOR checks the payload's length
+                size = self._payload_len
+                if size is not None and len(residual) != size:
+                    raise MalformedSymbol(f"payload length {len(residual)}, not the stored {size}")
             else:
-                for i in indices:
-                    if color[i]:
-                        residual = xor_bytes(residual, values[i])  # type: ignore[arg-type]
+                values = self.values
+                size = len(residual)
+                known: list = []
+                if size and len(indices) - n >= _REDUCE_XOR_MIN:   # below it the list costs more than the loop
+                    known = [values[i] for i in indices if color[i]]
+                if known and all(len(v) == size for v in known):
+                    step = max(1, _REDUCE_XOR_BYTES // size - 1)   # values per pass
+                    for start in range(0, len(known), step):
+                        part = known[start:start + step]
+                        block = _frombuffer(b"".join((residual, *part)), _uint8)
+                        residual = _xor_reduce(block.reshape(len(part) + 1, size), axis=0).tobytes()
+                else:
+                    for i in indices:
+                        if color[i]:
+                            residual = xor_bytes(residual, values[i])  # type: ignore[arg-type]
         if n == 1:
             return _positional(Classification, (_CASE1, unknown[0], residual, None, None, None))
         return _positional(Classification, (_CASE2, None, None, unknown[0], unknown[1], residual))
@@ -298,9 +321,13 @@ class DecodeGraph:
         color, adj, values = self.color, self.adj, self.values
         if color[target]:
             raise ContractViolation(f"node {target} is already recovered")
+        if not self.track_values:
+            value = None
+        elif self._payload_len is None and value is not None:
+            self._payload_len = len(value)
         newly: list[tuple[int, bytes | None]] = []
         color[target] = 1
-        stack = [(target, value if self.track_values else None)]
+        stack = [(target, value)]
         while stack:
             node, val = stack.pop()
             values[node] = val
@@ -309,7 +336,7 @@ class DecodeGraph:
                 if not color[nb]:
                     color[nb] = 1
                     stack.append((nb, xor_bytes(edge, val) if edge is not None and val is not None else None))
-            adj[node].clear()
+            adj[node] = ()
         self.recovered_count += len(newly)
         if len(newly) >= self._largest:
             self._largest_dirty = True
@@ -329,8 +356,17 @@ class DecodeGraph:
             ra, rb = rb, ra
         self._parent[rb] = ra
         self._size[ra] += self._size[rb]
-        self.adj[a].append((b, xor))
-        self.adj[b].append((a, xor))
+        if xor is not None and self._payload_len is None and self.track_values:
+            self._payload_len = len(xor)
+        adj = self.adj
+        edges = adj[a]
+        if not edges:
+            edges = adj[a] = []
+        edges.append((b, xor))
+        edges = adj[b]
+        if not edges:
+            edges = adj[b] = []
+        edges.append((a, xor))
         merged = self._size[ra]
         if not self._largest_dirty and merged > self._largest:
             self._largest = merged

@@ -16,6 +16,7 @@ import random
 import warnings
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,8 +67,13 @@ class PayloadMismatch(AssertionError):
     """
 
 
-@dataclass(frozen=True)
-class TracePoint:
+class TracePoint(NamedTuple):
+    """One point of a session trace, at a recovery or a feedback message.
+
+    A tuple with a dataclass's ``repr``: it equals, and hashes like, the
+    plain tuple of its fields.
+    """
+
     sent: int
     received: int
     recovered: int
@@ -160,15 +166,19 @@ def _drive(
             enc.on_feedback(pending.popleft()[1])
         if enc.phase is Phase.DONE:
             break
+        # ``carried`` is dropped on both paths, so that the next symbol is
+        # drawn without this one alive: near completion at large k a symbol
+        # holds tens of thousands of indices.
         carried = link_send(next_symbol(), slot)
         delivered = deliver(slot)
         slot += 1
         sent += 1
         if not delivered:
+            del carried
             continue
         received += 1
-        sym, seq = link_receive(carried)
-        msg = receive(sym, seq)
+        msg = receive(*link_receive(carried))
+        del carried
         now = graph.recovered_count
         if now > recovered:
             recovered = now

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -524,3 +525,78 @@ def test_counting_and_full_graphs_recover_nodes_in_the_same_order():
         assert got_fed == got_bare == [(node, None) for node in nodes]
     assert full.complete and bare.complete
     assert bare.values == bare_fed_payloads.values == [None] * k
+
+
+def test_value_tracking_graph_rejects_a_payloadless_symbol():
+    g = DecodeGraph(4)
+    with pytest.raises(MalformedSymbol, match=r"^symbol over unknown nodes \[0\] brings no payload$"):
+        g.process(CodedSymbol((0,), None))
+    with pytest.raises(MalformedSymbol, match=r"\[2, 3\] brings no payload"):
+        g.process(CodedSymbol((2, 3), None))
+    assert g.recovered_count == 0 and g.values == [None] * 4 and not any(g.adj)
+    # the symbol after it decodes as if the bad one never came
+    assert g.process(CodedSymbol((0,), b"ab"))[1] == [(0, b"ab")]
+    assert g.process(CodedSymbol((0, 1), b"\x00\x01"))[1] == [(1, b"ac")]
+    with pytest.raises(MalformedSymbol, match="brings no payload"):   # with recovered constituents too
+        g.process(CodedSymbol((0, 2), None))
+    assert g.values == [b"ab", b"ac", None, None]
+
+
+def test_value_tracking_graph_rejects_a_payload_of_another_length():
+    g = DecodeGraph(4)
+    g.process(CodedSymbol((0,), b"ab"))
+    for s in (CodedSymbol((1,), b"abc"), CodedSymbol((1, 2), b"a")):
+        with pytest.raises(MalformedSymbol, match=f"^payload length {len(s.payload)}, not the stored 2$"):
+            g.process(s)
+    assert g.recovered_count == 1 and g.values[1:] == [None] * 3 and not any(g.adj)
+    # an edge label is a stored payload as well
+    g = DecodeGraph(4)
+    g.process(CodedSymbol((0, 1), b"ab"))
+    with pytest.raises(MalformedSymbol, match="^payload length 1, not the stored 2$"):
+        g.process(CodedSymbol((2,), b"a"))
+    # a symbol with recovered constituents keeps the XOR path's message
+    g.process(CodedSymbol((2,), b"cd"))
+    with pytest.raises(ValueError, match="^payload length mismatch: 3 vs 2$"):
+        g.process(CodedSymbol((2, 3), b"abc"))
+
+
+def test_memory_fresh_graph_holds_at_most_40_bytes_per_node():
+    k = 100_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = DecodeGraph(k, track_values=False)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert g.find(k - 1) == k - 1
+    assert held / k <= 40, held / k
+
+
+def test_memory_a_node_holds_an_edge_list_only_while_it_has_edges():
+    g = DecodeGraph(1000, track_values=False)
+    for a, b in ((0, 1), (1, 2), (5, 6)):
+        g.apply_case2(a, b, None)
+    lists = [node for node in range(g.k) if type(g.adj[node]) is list]
+    assert lists == [0, 1, 2, 5, 6]
+    g.apply_case1(1, None)   # peels 0, 1 and 2
+    assert [node for node in range(g.k) if type(g.adj[node]) is list] == [5, 6]
+    assert all(g.adj[node] is g.adj[999] for node in (0, 1, 2, 3, 4))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        DecodeGraph(10_000, track_values=False).apply_case2(3, 7, None)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak / 10_000 <= 40, peak / 10_000
+
+
+def test_union_find_compresses_paths_to_the_root():
+    g = DecodeGraph(6, track_values=False)
+    for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (4, 0)):
+        g.apply_case2(a, b, None)
+    root = g.find(3)
+    assert [g.find(i) for i in range(6)] == [root] * 6
+    assert g._size[root] == 6
+    assert all(g._parent[i] == root for i in range(6) if i != root) and g._parent[root] == -1

@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -502,3 +504,37 @@ def test_every_layer_runs_once_per_symbol(monkeypatch, config):
     calls = _count_layer_calls(monkeypatch)
     _, report = transfer(bytes(range(256)) * 16, config, 0.1, seed=2, symbol_size=32)
     _check_layer_calls(calls, report.frames_sent - report.header_attempts, report.frames_delivered)
+
+
+def test_trace_point_repr_and_hash_are_unchanged():
+    """The golden digests hash trace reprs; a trace point hashes as its fields."""
+    point = TracePoint(7, 6, 3, event="beta_update")
+    assert repr(point) == "TracePoint(sent=7, received=6, recovered=3, event='beta_update')"
+    assert repr(TracePoint(5, 5, 2)) == "TracePoint(sent=5, received=5, recovered=2, event=None)"
+    assert hash(point) == hash((7, 6, 3, "beta_update"))
+    assert hash(TracePoint(5, 5, 2)) == hash((5, 5, 2, None))
+
+
+def test_trace_point_equals_the_plain_tuple_of_its_fields():
+    point = TracePoint(9, 8, 7)
+    assert point == (9, 8, 7, None) and point != (9, 8, 7)
+    assert (point.sent, point.received, point.recovered, point.event) == tuple(point)
+
+
+def test_memory_trace_point_allocates_no_more_than_a_tuple_of_its_fields():
+    n = 10_000
+    sent, received, recovered, event = 100_000, 90_000, 80_000, "beta_update"
+    points: list = [None] * n
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(0, n, 2):   # both forms _drive builds
+            points[i] = TracePoint(sent, received, recovered)
+            points[i + 1] = TracePoint(sent, received, recovered, event=event)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # CPython allocates every instance of a tuple subclass with one spare
+    # item; the 64 B are the loop's own counter
+    limit = sys.getsizeof((sent, received, recovered, event)) + struct.calcsize("P")
+    assert held <= n * limit + 64, held / n

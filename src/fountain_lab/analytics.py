@@ -33,8 +33,8 @@ import math
 
 import numpy as np
 
+from .config import OFC, OFCNB, SOFC, SchemeConfig
 from .degree import _completion_probs, completion_prob
-from .schemes import OFC, OFCNB, SOFC, SchemeConfig
 
 __all__ = [
     "DEGREE_AT_HALF",

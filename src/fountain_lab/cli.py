@@ -9,14 +9,15 @@ majority (or failed transfer), 4 I/O error, 5 recovered data mismatch.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 import numpy as np
 
-from . import analytics, sim, wire
-from .schemes import OFC, OFCNB, SOFC, EveryDegreeChange, SchemeConfig, Threshold
+# sim, wire and json are imported inside the commands that use them, so a
+# cold predict loads the closed forms and nothing of the session loop.
+from . import analytics
+from .config import OFC, OFCNB, SOFC, EveryDegreeChange, SchemeConfig, Threshold
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -89,6 +90,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import sim
+
     config = _scheme(args)
     agg = sim.monte_carlo(
         config, args.k, args.eps, args.trials,
@@ -103,6 +106,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    import json
+
+    from . import sim
+
     config = _scheme(args)
     agg = sim.monte_carlo(
         config, args.k, args.eps, args.trials,
@@ -122,6 +129,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    import json
+
+    from . import sim
+
     grid = [float(x) for x in args.eps_list.split(",") if x]
     if not grid:
         raise UsageError("--eps-list must name at least one erasure rate")
@@ -137,6 +148,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_transfer(args) -> int:
+    import json
+
+    from . import sim, wire
+
     config = _scheme(args)
     with open(args.infile, "rb") as fh:
         data = fh.read()

@@ -24,13 +24,22 @@ from __future__ import annotations
 import enum
 import math
 import random
-import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import encoder_seed
+from .config import (
+    OFC,
+    OFCNB,
+    SOFC,
+    EveryDegreeChange,
+    FeedbackPolicy,
+    SchemeConfig,
+    Threshold,
+    scheme_name,
+)
 from .degree import optimal_degree, useful_prob
 from .graph import Case, CodedSymbol, DecodeGraph, SourceBlock
 
@@ -55,66 +64,6 @@ __all__ = [
 
 class ProtocolError(RuntimeError):
     """A feedback message arrived that the current phase cannot accept."""
-
-
-@dataclass(frozen=True)
-class OFC:
-    """Two-phase scheme: component build-up to fraction beta0, then completion."""
-
-    beta0: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 < self.beta0 < 1.0:
-            raise ValueError(f"beta0 must be in (0, 1), got {self.beta0}")
-
-
-@dataclass(frozen=True)
-class OFCNB:
-    """Build-up-free scheme: degree-1 seeding to fraction gamma0, then completion."""
-
-    gamma0: float
-
-    def __post_init__(self):
-        if not 0.0 < self.gamma0 <= 1.0:
-            raise ValueError(f"gamma0 must be in (0, 1], got {self.gamma0}")
-        if self.gamma0 > 0.5:
-            warnings.warn(
-                "gamma0 > 0.5 buys no extra intermediate performance and "
-                "inflates the full-recovery overhead",
-                UserWarning,
-                stacklevel=2,
-            )
-
-
-@dataclass(frozen=True)
-class SOFC:
-    """Systematic scheme: each source symbol sent once, then completion."""
-
-
-SchemeConfig = OFC | OFCNB | SOFC
-
-
-def scheme_name(config: SchemeConfig) -> str:
-    return {OFC: "ofc", OFCNB: "ofcnb", SOFC: "sofc"}[type(config)]
-
-
-@dataclass(frozen=True)
-class EveryDegreeChange:
-    """Feed back whenever the optimal degree changes."""
-
-
-@dataclass(frozen=True)
-class Threshold:
-    """Feed back only when the usable probability improves by more than delta_p."""
-
-    delta_p: float = 0.01
-
-    def __post_init__(self):
-        if not 0.0 < self.delta_p < 1.0:
-            raise ValueError(f"delta_p must be in (0, 1), got {self.delta_p}")
-
-
-FeedbackPolicy = EveryDegreeChange | Threshold
 
 
 class Phase(enum.Enum):

@@ -51,6 +51,8 @@ def _scheme(args) -> SchemeConfig:
     beta0 = getattr(args, "beta0", None)   # only simulate has --beta0
     if beta0 is not None and name != "ofc":
         raise UsageError(f"--beta0 is not valid with --scheme {name}")
+    if getattr(args, "delta_p", None) is not None and args.policy != "threshold":
+        raise UsageError(f"--delta-p is not valid with --policy {args.policy}")
     if name == "ofcnb":
         if args.gamma0 is None:
             raise UsageError("--gamma0 is required with --scheme ofcnb")

@@ -410,7 +410,7 @@ class Encoder:
         add = selected.add
         while len(selected) < m:
             j = getrandbits(bits)
-            if j < k and j not in selected:
+            if j < k:
                 add(j)
         return tuple(sorted(selected))
 

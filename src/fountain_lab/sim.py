@@ -16,6 +16,7 @@ import random
 import warnings
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -251,18 +252,21 @@ def run_session(
 
 def _recovery_arrays(result: SessionResult) -> tuple[np.ndarray, np.ndarray]:
     pts = [(p.sent, p.recovered) for p in result.trace if p.event is None]
-    if not pts:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     sent = np.array([p[0] for p in pts], dtype=np.int64)
     rec = np.array([p[1] for p in pts], dtype=np.int64)
     return sent, rec
 
 
+def _recovered_at(result: SessionResult, n_sent):
+    """Recovered count right after each of ``n_sent`` transmissions."""
+    sent, rec = _recovery_arrays(result)
+    # rec prefixed with the 0 recovered before the first recovery
+    return np.concatenate(([0], rec))[np.searchsorted(sent, n_sent, side="right")]
+
+
 def recovered_at_sent(result: SessionResult, n_sent: int) -> int:
     """Recovered count right after ``n_sent`` symbols have been transmitted."""
-    sent, rec = _recovery_arrays(result)
-    idx = int(np.searchsorted(sent, n_sent, side="right")) - 1
-    return int(rec[idx]) if idx >= 0 else 0
+    return int(_recovered_at(result, n_sent))
 
 
 def milestone_grid(k: int) -> np.ndarray:
@@ -301,12 +305,41 @@ class AggregateResult:
     budget_exceeded_count: int
 
 
-def _trial_task(args) -> tuple[np.ndarray, float, int, int, bool]:
-    config, k, eps, policy, seed, trial_id, budget, milestones = args
+def _trial_task(k, policy, seed, budget, milestones, task) -> tuple[np.ndarray, float, int, int]:
+    config, eps, trial_id = task
     res = run_session(config, k, eps, policy=policy, seed=seed, trial_id=trial_id, budget=budget)
-    sent = sent_at_milestones(res, milestones)
     full = float(res.full_recovery_sent) if res.full_recovery_sent is not None else np.nan
-    return sent, full, res.feedback_total, res.feedback_at_beta08, res.budget_exceeded
+    return sent_at_milestones(res, milestones), full, res.feedback_total, res.feedback_at_beta08
+
+
+def _aggregates(groups, k, trials, policy, seed, jobs, budget) -> list[AggregateResult]:
+    """One AggregateResult per (config, eps) group, each over trial ids 0..trials-1.
+
+    All sessions run on one pool of up to ``jobs`` processes (in-process for
+    one); each group is merged in trial order, so ``jobs`` changes nothing.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    milestones = milestone_grid(k)
+    # what varies per session; the rest is pickled once per pool chunk
+    task = partial(_trial_task, k, policy, seed, budget, milestones)
+    tasks = [(config, eps, t) for config, eps in groups for t in range(trials)]
+    # The pool starts all its workers at once, so it gets no more than tasks.
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        rows = [task(t) for t in tasks]
+    else:
+        # imported here: the pool's modules are a tenth of the package's import time
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(task, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+    return [
+        _aggregate(config, k, eps, policy, milestones, rows[g * trials:(g + 1) * trials])
+        for g, (config, eps) in enumerate(groups)
+    ]
 
 
 def monte_carlo(
@@ -324,26 +357,7 @@ def monte_carlo(
     Results are byte-identical for any ``jobs`` value: per-trial outcomes
     depend only on (seed, trial id) and are merged in trial order.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    milestones = milestone_grid(k)
-    tasks = [(config, k, eps, policy, seed, t, budget, milestones) for t in range(trials)]
-    return _aggregate(config, k, eps, policy, milestones, _run_trials(tasks, jobs))
-
-
-def _run_trials(tasks: list, jobs: int) -> list:
-    """``_trial_task`` over ``tasks``, in order, on up to ``jobs`` processes."""
-    # The pool starts all its workers at once, so it gets no more than tasks.
-    workers = min(jobs, len(tasks))
-    if workers <= 1:
-        return [_trial_task(t) for t in tasks]
-    # imported here: the pool's modules are a tenth of the package's import time
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_trial_task, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+    return _aggregates([(config, eps)], k, trials, policy, seed, jobs, budget)[0]
 
 
 def _aggregate(config, k, eps, policy, milestones, rows) -> AggregateResult:
@@ -352,7 +366,6 @@ def _aggregate(config, k, eps, policy, milestones, rows) -> AggregateResult:
     fulls = np.array([r[1] for r in rows])
     fb_full = np.array([r[2] for r in rows], dtype=float)
     fb_08 = np.array([r[3] for r in rows], dtype=float)
-    exceeded = sum(1 for r in rows if r[4])
 
     # milestones no trial reached stay NaN; silence the all-NaN column warning
     with np.errstate(invalid="ignore"), warnings.catch_warnings():
@@ -377,7 +390,7 @@ def _aggregate(config, k, eps, policy, milestones, rows) -> AggregateResult:
         overhead_std=overhead_std,
         feedback_full_mean=float(np.mean(fb_full)),
         feedback_beta08_mean=float(np.mean(fb_08)),
-        budget_exceeded_count=exceeded,
+        budget_exceeded_count=len(rows) - len(completed),
     )
 
 
@@ -387,9 +400,7 @@ def ber_from_results(results: list[SessionResult], k: int, overhead_grid) -> lis
     n_sent = np.array([int(o * k) for o in grid], dtype=np.int64)
     recovered = np.empty((len(grid), len(results)), dtype=np.int64)
     for j, r in enumerate(results):
-        sent, rec = _recovery_arrays(r)
-        # rec prefixed with the 0 recovered before the first recovery
-        recovered[:, j] = np.concatenate(([0], rec))[np.searchsorted(sent, n_sent, side="right")]
+        recovered[:, j] = _recovered_at(r, n_sent)
     missing = (k - recovered) / k
     # one contiguous row per overhead: np.mean sums it as it summed the list
     return [(float(o), float(np.mean(row))) for o, row in zip(grid, missing)]
@@ -440,22 +451,10 @@ def sweep_epsilon(
     processes; each (eps, scheme) group is merged as ``monte_carlo`` merges
     it, so the result is the same for any ``jobs``.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     grid = list(eps_grid)
-    milestones = milestone_grid(k)
-    policy = EveryDegreeChange()
-    groups = [(eps, config) for eps in grid for config in (SOFC(), OFC())]
-    tasks = [
-        (config, k, eps, policy, seed, t, None, milestones) for eps, config in groups for t in range(trials)
-    ]
-    rows = _run_trials(tasks, jobs)
-    sent = [
-        _aggregate(config, k, eps, policy, milestones, rows[g * trials:(g + 1) * trials]).overhead_mean * k
-        for g, (eps, config) in enumerate(groups)
-    ]
+    groups = [(config, eps) for eps in grid for config in (SOFC(), OFC())]
+    aggs = _aggregates(groups, k, trials, EveryDegreeChange(), seed, jobs, None)
+    sent = [agg.overhead_mean * k for agg in aggs]
     points = [SweepPoint(float(eps), sofc, ofc) for eps, sofc, ofc in zip(grid, sent[0::2], sent[1::2])]
     return SweepResult(k, points)
 

@@ -257,3 +257,20 @@ def test_shared_flags_show_one_help_string():
     shared = {flag: h for flag, h in helps.items() if flag in ("--k", "--eps", "--seed", "--trials", "--jobs", "--out")}
     assert len(shared) == 6
     assert all(len(h) == 1 for h in helps.values()), helps
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare", "transfer"])
+def test_delta_p_only_with_threshold_policy(tmp_path, capsys, command):
+    out = tmp_path / "d.csv"
+    src = tmp_path / "f.bin"
+    src.write_bytes(b"x" * 100)
+    if command == "transfer":
+        base = [command, "--scheme", "sofc", "--in", str(src), "--out", str(out)]
+    else:
+        base = [command, "--scheme", "sofc", "--k", "50", "--trials", "2", "--out", str(out)]
+    for policy in ([], ["--policy", "every"]):
+        assert run(*base, *policy, "--delta-p", "0.3") == 2
+        assert "--delta-p is not valid with --policy every" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(*base, "--policy", "threshold", "--delta-p", "0.3") == 0
+    assert out.exists()

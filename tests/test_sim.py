@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import struct
 import subprocess
@@ -538,3 +539,50 @@ def test_memory_trace_point_allocates_no_more_than_a_tuple_of_its_fields():
     # item; the 64 B are the loop's own counter
     limit = sys.getsizeof((sent, received, recovered, event)) + struct.calcsize("P")
     assert held <= n * limit + 64, held / n
+
+
+def test_sweep_rejects_zero_trials():
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        sweep_epsilon(20, [0.1], trials=0)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: monte_carlo(SOFC(), 20, 0.0, trials=0, jobs=0),
+    lambda: sweep_epsilon(20, [0.1], trials=0, jobs=0),
+    lambda: sweep_epsilon(20, [], trials=0, jobs=0),
+], ids=["monte_carlo", "sweep", "empty-sweep"])
+def test_trials_message_wins_over_jobs(run):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        run()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("config,budget,exceeded", [
+    (SOFC(), 60, 6), (SOFC(), 80, 3), (OFC(), 80, 4), (OFCNB(0.1), 80, 5), (SOFC(), 90, 0),
+])
+def test_monte_carlo_counts_budget_exceeded_sessions(config, budget, exceeded, jobs):
+    # at eps 0.2, k = 60: every, some or none of 6 trials run out of budget
+    trials = 6
+    agg = monte_carlo(config, 60, 0.2, trials, seed=5, jobs=jobs, budget=budget)
+    sessions = [run_session(config, 60, 0.2, seed=5, trial_id=t, budget=budget) for t in range(trials)]
+    assert sum(r.budget_exceeded for r in sessions) == exceeded
+    assert agg.budget_exceeded_count == exceeded
+    assert summary_dict(agg)["budget_exceeded_count"] == exceeded
+    if exceeded == trials:
+        assert math.isnan(agg.overhead_mean)
+        assert summary_dict(agg)["overhead_mean"] is None
+    else:
+        done = [r.full_recovery_sent for r in sessions if not r.budget_exceeded]
+        assert agg.overhead_mean == pytest.approx(sum(done) / len(done) / 60)
+
+
+def test_recovered_at_sent_reads_the_trace_at_every_count():
+    for config in (OFC(), OFCNB(0.1), SOFC()):
+        r = run_session(config, 40, 0.3, seed=3)
+        points = [p for p in r.trace if p.event is None]
+        for n in range(-3, r.sent_total + 2):
+            expected = max([p.recovered for p in points if p.sent <= n], default=0)
+            assert recovered_at_sent(r, n) == expected
+        assert ber_from_results([r], 40, [n / 40 for n in range(r.sent_total + 2)]) == [
+            (n / 40, (40 - recovered_at_sent(r, n)) / 40) for n in range(r.sent_total + 2)
+        ]

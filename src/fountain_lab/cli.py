@@ -3,7 +3,8 @@
 Subcommands emit CSV/JSON for external plotting; every one is deterministic
 given its full flag set including --seed (FOUNTAIN_LAB_SEED is the fallback
 when --seed is omitted).  Exit codes: 0 ok, 2 usage, 3 budget-exhausted
-majority (or failed transfer), 4 I/O error, 5 recovered data mismatch.
+majority of simulate or compare trials (or failed transfer), 4 I/O error,
+5 recovered data mismatch.
 """
 
 from __future__ import annotations
@@ -91,6 +92,11 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
+def _budget_exit(agg) -> int:
+    """EXIT_BUDGET when most of a Monte Carlo run's trials ran out of budget."""
+    return EXIT_BUDGET if agg.budget_exceeded_count * 2 > agg.trials else EXIT_OK
+
+
 def cmd_simulate(args) -> int:
     from . import sim
 
@@ -102,9 +108,7 @@ def cmd_simulate(args) -> int:
     )
     _write(args.out, sim.aggregate_csv(agg))
     _write(_sidecar(args.out), sim.summary_json(agg))
-    if agg.budget_exceeded_count * 2 > args.trials:
-        return EXIT_BUDGET
-    return EXIT_OK
+    return _budget_exit(agg)
 
 
 def cmd_compare(args) -> int:
@@ -127,7 +131,7 @@ def cmd_compare(args) -> int:
     _write(args.out, "\n".join(rows) + "\n")
     _write(_sidecar(args.out), json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"max_rel_err={report['max_rel_err']:.4f} mean_rel_err={report['mean_rel_err']:.4f}")
-    return EXIT_OK
+    return _budget_exit(agg)
 
 
 def cmd_sweep(args) -> int:

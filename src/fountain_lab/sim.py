@@ -13,10 +13,10 @@ from __future__ import annotations
 import json
 import math
 import random
-import warnings
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -251,9 +251,10 @@ def run_session(
 
 
 def _recovery_arrays(result: SessionResult) -> tuple[np.ndarray, np.ndarray]:
-    pts = [(p.sent, p.recovered) for p in result.trace if p.event is None]
-    sent = np.array([p[0] for p in pts], dtype=np.int64)
-    rec = np.array([p[1] for p in pts], dtype=np.int64)
+    """Sent and recovered counts at each recovery, skipping feedback points."""
+    trace = result.trace
+    sent = np.fromiter((p.sent for p in trace if p.event is None), np.int64)
+    rec = np.fromiter((p.recovered for p in trace if p.event is None), np.int64)
     return sent, rec
 
 
@@ -305,41 +306,51 @@ class AggregateResult:
     budget_exceeded_count: int
 
 
-def _trial_task(k, policy, seed, budget, milestones, task) -> tuple[np.ndarray, float, int, int]:
+def _trial_task(k, policy, seed, budget, milestones, dtype, task) -> tuple[np.ndarray, float, int, int]:
+    """Run one session; its row holds the sent count at each milestone, -1 if never."""
     config, eps, trial_id = task
     res = run_session(config, k, eps, policy=policy, seed=seed, trial_id=trial_id, budget=budget)
+    sent, rec = _recovery_arrays(res)
+    # index len(rec) (never reached) reads the -1 appended to sent
+    row = np.append(sent, -1)[np.searchsorted(rec, milestones, side="left")].astype(dtype)
     full = float(res.full_recovery_sent) if res.full_recovery_sent is not None else np.nan
-    return sent_at_milestones(res, milestones), full, res.feedback_total, res.feedback_at_beta08
+    return row, full, res.feedback_total, res.feedback_at_beta08
 
 
-def _aggregates(groups, k, trials, policy, seed, jobs, budget) -> list[AggregateResult]:
+def _aggregates(groups, k, trials, policy, seed, jobs, budget, milestones) -> list[AggregateResult]:
     """One AggregateResult per (config, eps) group, each over trial ids 0..trials-1.
 
     All sessions run on one pool of up to ``jobs`` processes (in-process for
-    one); each group is merged in trial order, so ``jobs`` changes nothing.
+    one).  Rows are merged as they arrive, group after group in trial order,
+    so ``jobs`` changes nothing and only the group being merged keeps its rows.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    milestones = milestone_grid(k)
+    # a row's sent counts are at most the budget
+    top = DEFAULT_BUDGET_FACTOR * k if budget is None else budget
+    dtype = np.int64 if top >= 2**31 else np.int32
     # what varies per session; the rest is pickled once per pool chunk
-    task = partial(_trial_task, k, policy, seed, budget, milestones)
-    tasks = [(config, eps, t) for config, eps in groups for t in range(trials)]
-    # The pool starts all its workers at once, so it gets no more than tasks.
-    workers = min(jobs, len(tasks))
-    if workers <= 1:
-        rows = [task(t) for t in tasks]
-    else:
-        # imported here: the pool's modules are a tenth of the package's import time
-        from concurrent.futures import ProcessPoolExecutor
+    task = partial(_trial_task, k, policy, seed, budget, milestones, dtype)
+    tasks = ((config, eps, t) for config, eps in groups for t in range(trials))
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(task, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
-    return [
-        _aggregate(config, k, eps, policy, milestones, rows[g * trials:(g + 1) * trials])
-        for g, (config, eps) in enumerate(groups)
-    ]
+    def merge(rows):
+        return [
+            _aggregate(config, k, eps, policy, milestones, dtype, islice(rows, trials), trials)
+            for config, eps in groups
+        ]
+
+    # The pool starts all its workers at once, so it gets no more than tasks.
+    n_tasks = len(groups) * trials
+    workers = min(jobs, n_tasks)
+    if workers <= 1:
+        return merge(map(task, tasks))
+    # imported here: the pool's modules are a tenth of the package's import time
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return merge(pool.map(task, tasks, chunksize=max(1, n_tasks // (4 * workers))))
 
 
 def monte_carlo(
@@ -357,21 +368,38 @@ def monte_carlo(
     Results are byte-identical for any ``jobs`` value: per-trial outcomes
     depend only on (seed, trial id) and are merged in trial order.
     """
-    return _aggregates([(config, eps)], k, trials, policy, seed, jobs, budget)[0]
+    return _aggregates([(config, eps)], k, trials, policy, seed, jobs, budget, milestone_grid(k))[0]
 
 
-def _aggregate(config, k, eps, policy, milestones, rows) -> AggregateResult:
-    """Merge one (config, eps) group's ``_trial_task`` rows, in trial order."""
-    sent_matrix = np.vstack([r[0] for r in rows])
-    fulls = np.array([r[1] for r in rows])
-    fb_full = np.array([r[2] for r in rows], dtype=float)
-    fb_08 = np.array([r[3] for r in rows], dtype=float)
+def _aggregate(config, k, eps, policy, milestones, dtype, rows, trials) -> AggregateResult:
+    """Merge one (config, eps) group's ``trials`` ``_trial_task`` rows, in trial order.
 
-    # milestones no trial reached stay NaN; silence the all-NaN column warning
-    with np.errstate(invalid="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        sent_mean = np.nanmean(sent_matrix, axis=0)
-        sent_std = np.nanstd(sent_matrix, axis=0)
+    Two passes give np.nanmean and np.nanstd of the stacked float rows (-1 as
+    NaN) bit for bit: the sum of integer counts is exact, and the squared
+    deviations are added row by row, as numpy reduces axis 0 of a C-ordered
+    matrix.  Only the compact rows are kept for the second pass.
+    """
+    sent = np.empty((trials, len(milestones)), dtype)
+    total = np.zeros(len(milestones))
+    count = np.zeros(len(milestones), np.int64)
+    fulls = np.empty(trials)
+    fb_full = np.empty(trials)
+    fb_08 = np.empty(trials)
+    for t, (row, full, fb, fb8) in enumerate(rows):
+        sent[t] = row
+        fulls[t], fb_full[t], fb_08[t] = full, fb, fb8
+        reached = row >= 0
+        np.add(total, row, out=total, where=reached)
+        count += reached
+    sq = np.zeros(len(milestones))
+    # milestones no trial reached are 0 / 0: NaN, without a warning
+    with np.errstate(invalid="ignore"):
+        sent_mean = total / count
+        for row in sent:
+            dev = row - sent_mean
+            dev[row < 0] = 0.0
+            sq += dev * dev
+        sent_std = np.sqrt(sq / count)
     completed = fulls[~np.isnan(fulls)]
     overhead_mean = float(np.mean(completed) / k) if len(completed) else float("nan")
     overhead_std = float(np.std(completed) / k) if len(completed) else float("nan")
@@ -382,7 +410,7 @@ def _aggregate(config, k, eps, policy, milestones, rows) -> AggregateResult:
         eps=eps,
         gamma0=config.gamma0 if isinstance(config, OFCNB) else None,
         policy=policy_label(policy),
-        trials=len(rows),
+        trials=trials,
         milestones=milestones,
         sent_mean=sent_mean,
         sent_std=sent_std,
@@ -390,7 +418,7 @@ def _aggregate(config, k, eps, policy, milestones, rows) -> AggregateResult:
         overhead_std=overhead_std,
         feedback_full_mean=float(np.mean(fb_full)),
         feedback_beta08_mean=float(np.mean(fb_08)),
-        budget_exceeded_count=len(rows) - len(completed),
+        budget_exceeded_count=trials - len(completed),
     )
 
 
@@ -453,7 +481,8 @@ def sweep_epsilon(
     """
     grid = list(eps_grid)
     groups = [(config, eps) for eps in grid for config in (SOFC(), OFC())]
-    aggs = _aggregates(groups, k, trials, EveryDegreeChange(), seed, jobs, None)
+    # an empty milestone grid: a sweep reads only the full-recovery counts
+    aggs = _aggregates(groups, k, trials, EveryDegreeChange(), seed, jobs, None, np.empty(0, np.int64))
     sent = [agg.overhead_mean * k for agg in aggs]
     points = [SweepPoint(float(eps), sofc, ofc) for eps, sofc, ofc in zip(grid, sent[0::2], sent[1::2])]
     return SweepResult(k, points)

@@ -274,3 +274,15 @@ def test_delta_p_only_with_threshold_policy(tmp_path, capsys, command):
     assert not out.exists()
     assert run(*base, "--policy", "threshold", "--delta-p", "0.3") == 0
     assert out.exists()
+
+
+def test_compare_budget_majority_exit_code(tmp_path):
+    # the same flags make simulate exit 3: every trial runs out of budget
+    out = tmp_path / "starved.csv"
+    argv = ("--scheme", "ofc", "--k", "10", "--eps", "0.98", "--trials", "8", "--seed", "0",
+            "--out", str(out))
+    assert run("simulate", *argv) == 3
+    assert json.loads((tmp_path / "starved.json").read_text())["budget_exceeded_count"] == 8
+    assert run("compare", *argv) == 3
+    assert out.read_text().splitlines()[0] == "s,sent_mean,expected_n,rel_err"
+    assert "max_rel_err" in json.loads((tmp_path / "starved.json").read_text())

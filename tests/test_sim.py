@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -586,3 +587,101 @@ def test_recovered_at_sent_reads_the_trace_at_every_count():
         assert ber_from_results([r], 40, [n / 40 for n in range(r.sent_total + 2)]) == [
             (n / 40, (40 - recovered_at_sent(r, n)) / 40) for n in range(r.sent_total + 2)
         ]
+
+
+# SHA-256 of aggregate_csv + summary_json at seed 3, pinned while the merge
+# still stacked float rows: (config, k, eps, trials, policy, budget, jobs,
+# digest).  The starved runs leave some trials (ofc) or every trial (sofc)
+# short of full recovery, the sofc one with milestones no trial reached;
+# k = 3000 runs on the sparse 1000-point grid.
+GOLDEN_AGGREGATES = {
+    "ofcnb-k300": (OFCNB(0.01), 300, 0.1, 20, EveryDegreeChange(), None, 2,
+                   "f72412264562f5331ac706ce65e734b628c87c44e4ea45c910fd3234b788eccb"),
+    "ofc-threshold-k200": (OFC(), 200, 0.2, 10, Threshold(0.01), None, 1,
+                           "35c030146ca7273731b8c070b0aedfb9b8e104e10dac0eaa7a7be8ce0580511f"),
+    "ofc-starved-k60": (OFC(), 60, 0.2, 6, EveryDegreeChange(), 80, 1,
+                        "dc942612a874217389c27bbac7b78640a06bc5bfe3886d700745d9d7c40c931f"),
+    "sofc-starved-k60": (SOFC(), 60, 0.2, 6, EveryDegreeChange(), 60, 1,
+                         "b7620e612998e5c6794ddfdae77be782d979943e5bc2786e7e2b04f724a4a693"),
+    "sofc-k3000": (SOFC(), 3000, 0.1, 4, EveryDegreeChange(), None, 1,
+                   "7892ec35fb4f8b6dd5b8fc3c59f15d699989ff1f646defa31646de761975889f"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_AGGREGATES))
+def test_golden_aggregate_csv_and_summary(case):
+    config, k, eps, trials, policy, budget, jobs, digest = GOLDEN_AGGREGATES[case]
+    agg = monte_carlo(config, k, eps, trials, policy=policy, seed=3, jobs=jobs, budget=budget)
+    text = aggregate_csv(agg) + summary_json(agg)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("trials,milestones,high", [
+    (1, 9, 50_000), (2, 5, 50_000), (300, 40, 50_000), (257, 1000, 2**31 - 1),
+])
+def test_merge_identity_with_stacked_nanmean_and_nanstd(trials, milestones, high):
+    rng = np.random.default_rng([trials, milestones])
+    sent = rng.integers(1, high, size=(trials, milestones)).astype(np.int32)
+    sent[rng.random(sent.shape) < 0.3] = -1   # milestones a trial never reached
+    sent[:, 0] = -1                           # one that no trial reached
+    rows = ((row, np.nan, 3, 1) for row in sent)
+    agg = fountain_lab.sim._aggregate(
+        SOFC(), milestones, 0.1, EveryDegreeChange(), np.arange(1, milestones + 1),
+        np.int32, rows, trials,
+    )
+    stacked = np.vstack([np.where(row < 0, np.nan, row.astype(float)) for row in sent])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        mean, std = np.nanmean(stacked, axis=0), np.nanstd(stacked, axis=0)
+    assert np.array_equal(agg.sent_mean, mean, equal_nan=True)
+    assert np.array_equal(agg.sent_std, std, equal_nan=True)
+    assert np.isnan(agg.sent_mean[0]) and np.isnan(agg.sent_std[0])
+    assert agg.trials == agg.budget_exceeded_count == trials
+
+
+def test_memory_monte_carlo_per_extra_trial():
+    # lossless sofc sessions are all alike, so the difference between two
+    # peaks is what the merge holds per extra trial: at k = 1000 a row of
+    # 1000 int32 sent counts (3.9 KiB) and nothing that grows with it
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            monte_carlo(SOFC(), 1000, 0.0, trials, seed=1, jobs=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    monte_carlo(SOFC(), 1000, 0.0, 2, seed=1)   # first-use imports stay out
+    few, many = peak(10), peak(50)
+    per_trial = (many - few) / 40
+    assert per_trial <= 5 * 1024, per_trial / 1024
+
+
+@pytest.mark.parametrize("budget,dtype", [(2**31, np.int64), (2**31 - 1, np.int32)])
+def test_rows_widen_to_int64_at_a_budget_of_2_31(monkeypatch, budget, dtype):
+    dtypes = []
+    merge = fountain_lab.sim._aggregate
+
+    def spy(config, k, eps, policy, milestones, row_dtype, rows, trials):
+        dtypes.append(row_dtype)
+        return merge(config, k, eps, policy, milestones, row_dtype, rows, trials)
+
+    monkeypatch.setattr(fountain_lab.sim, "_aggregate", spy)
+    wide = monte_carlo(OFC(), 80, 0.2, 4, seed=2, budget=budget)
+    default = monte_carlo(OFC(), 80, 0.2, 4, seed=2)
+    assert dtypes == [dtype, np.int32]
+    assert aggregate_csv(wide) == aggregate_csv(default)
+    assert summary_json(wide) == summary_json(default)
+
+
+def test_starved_budget_gives_nan_at_never_reached_milestones_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        agg = monte_carlo(SOFC(), 60, 0.2, 6, seed=5, budget=60)
+    assert agg.budget_exceeded_count == 6
+    sessions = [run_session(SOFC(), 60, 0.2, seed=5, trial_id=t, budget=60) for t in range(6)]
+    curves = np.vstack([sent_at_milestones(r, agg.milestones) for r in sessions])
+    never = np.isnan(curves).all(axis=0)
+    assert never.any() and not never.all()
+    assert np.array_equal(np.isnan(agg.sent_mean), never)
+    assert np.array_equal(np.isnan(agg.sent_std), never)

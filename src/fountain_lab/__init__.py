@@ -59,9 +59,7 @@ _EXPORTS = {
     "wire": ("encode_data", "decode_frame", "transfer", "TransferReport", "TransferFailed"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = frozenset(
-    ("analytics", "channel", "cli", "config", "degree", "graph", "schemes", "sim", "wire")
-)
+_SUBMODULES = frozenset((*_EXPORTS, "cli", "config"))
 
 __all__ = list(_HOME)
 

@@ -2,18 +2,17 @@
 
 Subcommands emit CSV/JSON for external plotting; every one is deterministic
 given its full flag set including --seed (FOUNTAIN_LAB_SEED is the fallback
-when --seed is omitted).  Exit codes: 0 ok, 2 usage, 3 budget-exhausted
-majority of simulate or compare trials (or failed transfer), 4 I/O error,
-5 recovered data mismatch.
+when --seed is omitted).  Exit codes: 0 ok, 2 usage, 3 budget exhausted (in
+most simulate or compare trials, in every trial of a sweep point's scheme, or
+in a transfer), 4 I/O error, 5 recovered data mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-
-import numpy as np
 
 # sim, wire and json are imported inside the commands that use them, so a
 # cold predict loads the closed forms and nothing of the session loop.
@@ -126,7 +125,7 @@ def cmd_compare(args) -> int:
     rows = [COMPARE_HEADER]
     for s, mean in zip(agg.milestones, agg.sent_mean):
         ana = analytic[int(s) - 1]
-        rel = abs(mean - ana) / ana if not np.isnan(mean) else float("nan")
+        rel = abs(mean - ana) / ana
         rows.append(f"{int(s)},{mean:.6f},{ana:.6f},{rel:.6f}")
     _write(args.out, "\n".join(rows) + "\n")
     _write(_sidecar(args.out), json.dumps(report, indent=2, sort_keys=True) + "\n")
@@ -150,6 +149,11 @@ def cmd_sweep(args) -> int:
     cross = result.crossover
     _write(_sidecar(args.out), json.dumps({"crossover": cross, "k": args.k}, indent=2) + "\n")
     print(f"crossover={cross}")
+    # a mean, and so the diff, is NaN when no trial of its scheme completed
+    starved = ",".join(f"{p.eps:g}" for p in result.points if math.isnan(p.diff))
+    if starved:
+        print(f"no completed trial for a scheme at eps {starved}", file=sys.stderr)
+        return EXIT_BUDGET
     return EXIT_OK
 
 

@@ -337,7 +337,6 @@ class Encoder:
         # Symbols sent in the phases left so far, and in the current one.
         self._closed_sent: dict[str, int] = {}
         self._sent_in_phase = 0
-        self._next_index = 0
 
     @property
     def known_beta(self) -> float:
@@ -416,9 +415,9 @@ class Encoder:
 
     def next_symbol(self) -> CodedSymbol:
         phase = self.phase
-        if phase is _SYSTEMATIC and self._next_index < self.k:
-            indices: tuple[int, ...] = (self._next_index,)
-            self._next_index += 1
+        # SYSTEMATIC opens the session, so its count is the next index.
+        if phase is _SYSTEMATIC and self._sent_in_phase < self.k:
+            indices: tuple[int, ...] = (self._sent_in_phase,)
         else:
             if phase is _DONE:
                 raise ProtocolError("session already complete")

@@ -96,10 +96,12 @@ class SessionResult:
     feedback_at_beta08: int
 
 
-def policy_label(policy: FeedbackPolicy) -> str:
-    if isinstance(policy, Threshold):
-        return f"threshold-{policy.delta_p:g}"
-    return "every"
+def _budget(k: int, budget: int | None) -> int:
+    """A run's transmission budget: 50 * k when None; below k is a ValueError."""
+    budget = DEFAULT_BUDGET_FACTOR * k if budget is None else budget
+    if budget < k:
+        raise ValueError(f"budget {budget} cannot be below k={k}")
+    return budget
 
 
 class _ObjectLink:
@@ -143,10 +145,7 @@ def _drive(
     (PayloadMismatch "recovered payload mismatch" on any difference).
     """
     k = source.k
-    if budget is None:
-        budget = DEFAULT_BUDGET_FACTOR * k
-    if budget < k:
-        raise ValueError(f"budget {budget} cannot be below k={k}")
+    budget = _budget(k, budget)
     if feedback_delay < 0:
         raise ValueError("feedback_delay must be >= 0")
     carries_payloads = source.symbol_size > 0
@@ -277,15 +276,17 @@ def milestone_grid(k: int) -> np.ndarray:
     return np.unique(np.linspace(1, k, 1000).round().astype(np.int64))
 
 
+def _sent_at(result: SessionResult, milestones: np.ndarray) -> np.ndarray:
+    """Sent count when each milestone was first reached, -1 if never (int64)."""
+    sent, rec = _recovery_arrays(result)
+    # index len(rec) (never reached) reads the -1 appended to sent
+    return np.append(sent, -1)[np.searchsorted(rec, milestones, side="left")]
+
+
 def sent_at_milestones(result: SessionResult, milestones: np.ndarray) -> np.ndarray:
     """Sent count when each milestone was first reached (NaN if never)."""
-    sent, rec = _recovery_arrays(result)
-    out = np.full(len(milestones), np.nan)
-    if len(rec):
-        idx = np.searchsorted(rec, milestones, side="left")
-        ok = idx < len(rec)
-        out[ok] = sent[idx[ok]]
-    return out
+    row = _sent_at(result, milestones)
+    return np.where(row < 0, np.nan, row)
 
 
 @dataclass
@@ -310,11 +311,8 @@ def _trial_task(k, policy, seed, budget, milestones, dtype, task) -> tuple[np.nd
     """Run one session; its row holds the sent count at each milestone, -1 if never."""
     config, eps, trial_id = task
     res = run_session(config, k, eps, policy=policy, seed=seed, trial_id=trial_id, budget=budget)
-    sent, rec = _recovery_arrays(res)
-    # index len(rec) (never reached) reads the -1 appended to sent
-    row = np.append(sent, -1)[np.searchsorted(rec, milestones, side="left")].astype(dtype)
     full = float(res.full_recovery_sent) if res.full_recovery_sent is not None else np.nan
-    return row, full, res.feedback_total, res.feedback_at_beta08
+    return _sent_at(res, milestones).astype(dtype), full, res.feedback_total, res.feedback_at_beta08
 
 
 def _aggregates(groups, k, trials, policy, seed, jobs, budget, milestones) -> list[AggregateResult]:
@@ -328,9 +326,8 @@ def _aggregates(groups, k, trials, policy, seed, jobs, budget, milestones) -> li
         raise ValueError("trials must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    # a row's sent counts are at most the budget
-    top = DEFAULT_BUDGET_FACTOR * k if budget is None else budget
-    dtype = np.int64 if top >= 2**31 else np.int32
+    budget = _budget(k, budget)   # a row's sent counts are at most the budget
+    dtype = np.int64 if budget >= 2**31 else np.int32
     # what varies per session; the rest is pickled once per pool chunk
     task = partial(_trial_task, k, policy, seed, budget, milestones, dtype)
     tasks = ((config, eps, t) for config, eps in groups for t in range(trials))
@@ -350,7 +347,8 @@ def _aggregates(groups, k, trials, policy, seed, jobs, budget, milestones) -> li
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return merge(pool.map(task, tasks, chunksize=max(1, n_tasks // (4 * workers))))
+        # at most 16 rows per result chunk: the chunks in flight stay bounded
+        return merge(pool.map(task, tasks, chunksize=min(max(1, n_tasks // (4 * workers)), 16)))
 
 
 def monte_carlo(
@@ -409,7 +407,7 @@ def _aggregate(config, k, eps, policy, milestones, dtype, rows, trials) -> Aggre
         k=k,
         eps=eps,
         gamma0=config.gamma0 if isinstance(config, OFCNB) else None,
-        policy=policy_label(policy),
+        policy=f"threshold-{policy.delta_p:g}" if isinstance(policy, Threshold) else "every",
         trials=trials,
         milestones=milestones,
         sent_mean=sent_mean,

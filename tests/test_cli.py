@@ -105,6 +105,18 @@ def test_sweep_sign_pattern(tmp_path):
     assert json.loads((tmp_path / "sweep.json").read_text())["crossover"] is not None
 
 
+def test_sweep_exits_3_when_a_scheme_completes_no_trial_at_a_point(tmp_path, capsys):
+    # at eps 0.985 about 45 of the 3000 budgeted symbols of a k=60 session arrive
+    out = tmp_path / "sweep.csv"
+    assert run("sweep", "--k", "60", "--eps-list", "0.1,0.985", "--trials", "4",
+               "--seed", "1", "--out", str(out)) == 3
+    rows = out.read_text().strip().split("\n")
+    assert rows[2] == "0.985000,nan,nan,nan"
+    assert not math.isnan(float(rows[1].split(",")[1]))
+    assert json.loads((tmp_path / "sweep.json").read_text())["k"] == 60
+    assert "0.985" in capsys.readouterr().err
+
+
 def test_sweep_requires_eps_list(tmp_path):
     assert run("sweep", "--eps-list", "", "--out", str(tmp_path / "s.csv")) == 2
 

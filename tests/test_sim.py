@@ -685,3 +685,58 @@ def test_starved_budget_gives_nan_at_never_reached_milestones_without_warnings()
     assert never.any() and not never.all()
     assert np.array_equal(np.isnan(agg.sent_mean), never)
     assert np.array_equal(np.isnan(agg.sent_std), never)
+
+
+def test_memory_monte_carlo_per_extra_trial_pooled(monkeypatch):
+    # as above, on a pool of two workers: the main process holds the rows
+    # and the result chunks in flight.  At 450 tasks an uncapped chunk
+    # (tasks // (4 * workers)) holds 56 rows; at 10 tasks one row, so the
+    # peak at 10 trials holds no chunk that grows with the trial count.
+    import concurrent.futures
+
+    class UntracedWorkers(concurrent.futures.ProcessPoolExecutor):
+        """Workers stop the tracing they inherit: only the main process is
+        measured, and a traced worker runs several times slower."""
+
+        def __init__(self, max_workers):
+            super().__init__(max_workers, initializer=tracemalloc.stop)
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            monte_carlo(SOFC(), 1000, 0.0, trials, seed=1, jobs=2)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", UntracedWorkers)
+    monte_carlo(SOFC(), 1000, 0.0, 2, seed=1, jobs=2)   # first-use imports stay out
+    few, many = peak(10), peak(450)
+    per_trial = (many - few) / 440
+    assert per_trial <= 5 * 1024, per_trial / 1024
+
+
+def test_invalid_budget_raises_before_a_pool_starts(monkeypatch):
+    import concurrent.futures
+
+    pools = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    with pytest.raises(ValueError, match="budget 59 cannot be below k=60"):
+        monte_carlo(OFC(), 60, 0.1, 4, jobs=2, budget=59)
+    assert pools == []

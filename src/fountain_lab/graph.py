@@ -213,8 +213,6 @@ class DecodeGraph:
         self.adj: list[list[tuple[int, bytes | None]] | tuple[()]] = [()] * k
         self._payload_len: int | None = None      # of the first stored payload
         self.recovered_count = 0
-        self._largest = 1
-        self._largest_dirty = False
 
     # -- union-find ----------------------------------------------------
 
@@ -237,11 +235,13 @@ class DecodeGraph:
     def complete(self) -> bool:
         return self.recovered_count == self.k
 
+    def component_size(self, node: int) -> int:
+        """Size of the component holding the white node ``node``."""
+        return self._size[self.find(node)]
+
     def largest_white_component(self) -> int:
-        if self._largest_dirty:
-            self._largest = max(self.component_histogram(), default=0)
-            self._largest_dirty = False
-        return self._largest
+        """Size of the largest white component, 0 when none is left: an O(k) scan."""
+        return max(self.component_histogram(), default=0)
 
     def component_histogram(self) -> dict[int, int]:
         """Map component size -> number of white components of that size."""
@@ -338,8 +338,6 @@ class DecodeGraph:
                     stack.append((nb, xor_bytes(edge, val) if edge is not None and val is not None else None))
             adj[node] = ()
         self.recovered_count += len(newly)
-        if len(newly) >= self._largest:
-            self._largest_dirty = True
         return newly
 
     def apply_case2(self, a: int, b: int, xor: bytes | None) -> int:
@@ -367,10 +365,7 @@ class DecodeGraph:
         if not edges:
             edges = adj[b] = []
         edges.append((a, xor))
-        merged = self._size[ra]
-        if not self._largest_dirty and merged > self._largest:
-            self._largest = merged
-        return merged
+        return self._size[ra]
 
     def process(self, sym: CodedSymbol) -> tuple[Classification, list[tuple[int, bytes | None]]]:
         """Classify and apply one symbol; returns (classification, newly recovered)."""

@@ -507,10 +507,10 @@ class Receiver:
                 return self._send(FeedbackKind.BETA_UPDATE)
             return None
         if mirror is Phase.BUILD_UP:
-            if graph.largest_white_component() >= self._threshold:
-                # Remember one member of the threshold component; components
-                # only merge, so it stays inside as the component grows.
-                self._marker = cls.a if cls.case is Case.CASE2 else sym.indices[0]
+            # In build-up only a CASE2 merge grows a component (degree-2
+            # symbols, nothing black); end a stays in it as components merge.
+            if cls.case is Case.CASE2 and graph.component_size(cls.a) >= self._threshold:
+                self._marker = cls.a
                 return self._send(FeedbackKind.LARGEST_COMPONENT_REACHED)
         elif mirror is Phase.DEGREE1_SEEDING:
             if self._marker is not None:   # OFC: wait for the marked component

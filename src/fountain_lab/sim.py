@@ -225,15 +225,15 @@ def run_session(
 ) -> SessionResult:
     """Run one encode/erase/decode/feedback session to completion or budget.
 
-    ``budget`` defaults to 50 * k transmissions; a budget below k raises
-    ValueError, and running out of budget is flagged in the result, not
-    raised.  ``payload_mode="counting"`` moves no bytes; ``"full"`` encodes
-    a seeded block of 32-byte payloads, and a given ``source`` block is used
-    as is.  Whenever payloads move, every recovered payload of a complete
-    session is checked against the source and a difference raises
-    PayloadMismatch "recovered payload mismatch".  ``feedback_delay``
-    postpones message arrival by that many symbol slots (0 = the idealized
-    instant-feedback model; below 0 raises ValueError).
+    ``budget`` defaults to 50 * k transmissions; a budget below k, a
+    ``source`` of other than k symbols or a negative ``feedback_delay``
+    raises ValueError, and running out of budget is flagged in the result,
+    not raised.  ``payload_mode="counting"`` moves no bytes; ``"full"``
+    encodes a seeded block of 32-byte payloads; a ``source`` is used as is.
+    Whenever payloads move, every recovered payload of a complete session
+    is checked against the source and a difference raises PayloadMismatch
+    "recovered payload mismatch".  ``feedback_delay`` postpones feedback by
+    that many symbol slots (0 = the idealized instant-feedback model).
     """
     if payload_mode not in ("counting", "full"):
         raise ValueError(f"unknown payload_mode {payload_mode!r}")
@@ -242,6 +242,8 @@ def run_session(
             source = SourceBlock.random(k, rng=random.Random(source_seed(seed, trial_id)))
         else:
             source = SourceBlock(k, (b"",) * k)
+    elif source.k != k:
+        raise ValueError(f"source block holds {source.k} symbols, not k={k}")
     result, _, _ = _drive(
         config, source, eps, policy, seed, trial_id, budget, _ObjectLink(),
         feedback_delay=feedback_delay,
@@ -422,6 +424,8 @@ def _aggregate(config, k, eps, policy, milestones, dtype, rows, trials) -> Aggre
 
 def ber_from_results(results: list[SessionResult], k: int, overhead_grid) -> list[tuple[float, float]]:
     """Mean unrecovered fraction at each overhead (sent = floor(overhead * k))."""
+    if not results or any(r.k != k for r in results):
+        raise ValueError(f"need one or more sessions of k={k}, got k={sorted({r.k for r in results})}")
     grid = list(overhead_grid)
     n_sent = np.array([int(o * k) for o in grid], dtype=np.int64)
     recovered = np.empty((len(grid), len(results)), dtype=np.int64)

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -179,6 +180,31 @@ def test_largest_component_theta_k_past_transition():
         a, b = rng.sample(range(1000), 2)
         g.process(sym(a, b))
     assert g.largest_white_component() > 200
+
+
+def test_component_size_is_each_white_nodes_component_along_a_walk():
+    rng = random.Random(5)
+    k = 60
+    g = DecodeGraph(k, track_values=False)
+    for n in range(300):
+        # degree-2 build-up first, then degrees 1-4 peel the components
+        degree = 2 if n < 100 else rng.randint(1, 4)
+        g.process(sym(*rng.sample(range(k), degree)))
+        sizes = {}
+        for node in range(k):
+            if g.color[node] or node in sizes:
+                continue
+            members, stack = {node}, [node]   # the component, through stored edges
+            while stack:
+                for nb, _ in g.adj[stack.pop()]:
+                    if nb not in members:
+                        members.add(nb)
+                        stack.append(nb)
+            for member in members:
+                sizes[member] = len(members)
+        assert all(g.component_size(node) == size for node, size in sizes.items())
+        nodes_by_size = Counter(sizes.values())
+        assert g.component_histogram() == {size: n // size for size, n in nodes_by_size.items()}
 
 
 def check_invariants(g):

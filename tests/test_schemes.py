@@ -267,6 +267,17 @@ def test_receiver_ofc_event_sequence():
     assert rcv.complete
 
 
+def test_receiver_ofc_build_up_fires_on_the_merge_that_reaches_the_threshold():
+    # k=3, beta0=0.3: threshold 1.  The rule reads the component a CASE2 edge
+    # just formed, so an off-protocol degree-1 first symbol triggers nothing.
+    rcv = Receiver(3, OFC(beta0=0.3), track_values=False)
+    assert rcv.receive(CodedSymbol((0,))) is None
+    msg = rcv.receive(CodedSymbol((1, 2)))
+    assert msg is not None and msg.kind is FeedbackKind.LARGEST_COMPONENT_REACHED
+    msg = rcv.receive(CodedSymbol((2,)))                      # recovers 1 and 2 too
+    assert msg is not None and msg.kind is FeedbackKind.COMPLETE
+
+
 def test_receiver_complete_subsumes_everything():
     with pytest.warns(UserWarning):
         config = OFCNB(0.9)

@@ -80,6 +80,24 @@ def test_budget_validation():
         run_session(SOFC(), 100, 0.0, budget=50)
 
 
+def test_run_session_rejects_a_source_block_of_another_k():
+    with pytest.raises(ValueError, match="source block holds 50 symbols, not k=100"):
+        run_session(OFC(), 100, 0.1, source=SourceBlock(50, (b"",) * 50))
+
+
+def test_ber_from_results_rejects_sessions_of_another_k():
+    r = run_session(OFC(), 50, 0.1, seed=1)
+    with pytest.raises(ValueError, match=r"need one or more sessions of k=100, got k=\[50\]"):
+        ber_from_results([r], 100, [1.0])
+
+
+def test_ber_from_results_rejects_no_results():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"need one or more sessions of k=100, got k=\[\]"):
+            ber_from_results([], 100, [1.0])
+
+
 def test_feedback_delay_still_completes():
     r = run_session(OFC(), 200, 0.0, seed=3, feedback_delay=5)
     assert r.full_recovery_sent is not None
@@ -148,6 +166,69 @@ def test_golden_sessions_heavy_seeding(gamma0, k, mode):
     r = run_session(OFCNB(gamma0), k, 0.1, seed=3, payload_mode=mode)
     digest = hashlib.sha256(repr(r.trace).encode()).hexdigest()
     assert (r.sent_total, r.feedback_total, digest) == GOLDEN_HEAVY_SEEDING[gamma0, k]
+
+
+# (sent_total, feedback_total, SHA-256 of repr(trace)) of OFC(beta0) at seed 3,
+# keyed (beta0, k, eps, feedback_delay): build-up thresholds other than
+# beta0 = 0.5, down to 1 at k = 2 and 3 with beta0 = 0.3.
+GOLDEN_OFC_BETA0 = {
+    (0.05, 2, 0.0, 0): (2, 2, "38a4ff3e365b40256e079d7a3832be8af2f7dd801e67724b8863d5d78e5115f0"),
+    (0.05, 2, 0.0, 3): (8, 2, "23b21ca2e3d699ebd9048504a4624f7c0b3a431c23bd0e058546616ff1f30e7f"),
+    (0.05, 2, 0.1, 0): (2, 2, "38a4ff3e365b40256e079d7a3832be8af2f7dd801e67724b8863d5d78e5115f0"),
+    (0.05, 2, 0.1, 3): (8, 2, "23b21ca2e3d699ebd9048504a4624f7c0b3a431c23bd0e058546616ff1f30e7f"),
+    (0.05, 3, 0.0, 0): (3, 3, "c4daf8de087adf29d0498f8a60e6b822628e9d727e803753084b98ec3a93fbe2"),
+    (0.05, 3, 0.0, 3): (8, 2, "c18d7865faf384c519548274aaec6db64e8451bb7be070c67248ebca0361fd22"),
+    (0.05, 3, 0.1, 0): (3, 3, "c4daf8de087adf29d0498f8a60e6b822628e9d727e803753084b98ec3a93fbe2"),
+    (0.05, 3, 0.1, 3): (8, 2, "c18d7865faf384c519548274aaec6db64e8451bb7be070c67248ebca0361fd22"),
+    (0.05, 50, 0.0, 0): (60, 9, "92bf67926becbca73bd2f0a9baeb769ecd8e75a57135df16a7968f68f3977d19"),
+    (0.05, 50, 0.0, 3): (73, 9, "6aee17ebc92aa29a5a64c09156156a0ea7b8103a82f563c7e0dff1ee621ac06c"),
+    (0.05, 50, 0.1, 0): (68, 10, "2d18b796d61eb68823a6b0bc6a071c40b4306a2a9acfad6a5c47c6a8690bad64"),
+    (0.05, 50, 0.1, 3): (81, 11, "a45c170da879e1f46ce56e76fa2fe0cc3a3d8f8a3e7722fc70ea4d03026fe2e5"),
+    (0.05, 1000, 0.0, 0): (1198, 39, "6797d3242fa4565d17b18621dd8ec9e97b1a9ab8fe4f5f8c87e0d4b9e2c9ff44"),
+    (0.05, 1000, 0.0, 3): (1216, 45, "5ac14f2b73a36ff2b799557fbd213d09d1eebdba9fd6301976951998bf248431"),
+    (0.05, 1000, 0.1, 0): (1366, 39, "8747e17bae67c8288990156f96f512edcb09e814ecfeb48c19b37b5b548a5ac6"),
+    (0.05, 1000, 0.1, 3): (1327, 51, "82d471c2cd8c5405dab71613088c34dacea80c48afbefd820ca80f9ae86f81ea"),
+    (0.3, 2, 0.0, 0): (2, 2, "38a4ff3e365b40256e079d7a3832be8af2f7dd801e67724b8863d5d78e5115f0"),
+    (0.3, 2, 0.0, 3): (8, 2, "23b21ca2e3d699ebd9048504a4624f7c0b3a431c23bd0e058546616ff1f30e7f"),
+    (0.3, 2, 0.1, 0): (2, 2, "38a4ff3e365b40256e079d7a3832be8af2f7dd801e67724b8863d5d78e5115f0"),
+    (0.3, 2, 0.1, 3): (8, 2, "23b21ca2e3d699ebd9048504a4624f7c0b3a431c23bd0e058546616ff1f30e7f"),
+    (0.3, 3, 0.0, 0): (3, 3, "c4daf8de087adf29d0498f8a60e6b822628e9d727e803753084b98ec3a93fbe2"),
+    (0.3, 3, 0.0, 3): (8, 2, "c18d7865faf384c519548274aaec6db64e8451bb7be070c67248ebca0361fd22"),
+    (0.3, 3, 0.1, 0): (3, 3, "c4daf8de087adf29d0498f8a60e6b822628e9d727e803753084b98ec3a93fbe2"),
+    (0.3, 3, 0.1, 3): (8, 2, "c18d7865faf384c519548274aaec6db64e8451bb7be070c67248ebca0361fd22"),
+    (0.3, 50, 0.0, 0): (62, 9, "3347d77e5f54a37aba259e17777b9be523aa75d9925901c42a6f32747d718032"),
+    (0.3, 50, 0.0, 3): (65, 11, "9098fd562d596f3da63ba77ad3f8fbfb7a2ddfb55061bb29ff124f5857e72597"),
+    (0.3, 50, 0.1, 0): (69, 9, "ba2cb72ee540eba3b3cc69a89a80b0d895b37aeaf6c83bb57b4932c3a31f8dd6"),
+    (0.3, 50, 0.1, 3): (71, 13, "77f461c0cfb5b8ba0edabd820e9e72704530880b99d5f4c438177f927e91868a"),
+    (0.3, 1000, 0.0, 0): (1193, 47, "4bae5bbdcae692081503dea0a43d4da3b060ca27ac27139c2fbbeb1a6567e2a4"),
+    (0.3, 1000, 0.0, 3): (1185, 45, "dd09888a0a6f087f853bf07129845965fd4ae3dbf2fd18bdbb111bbc58a66588"),
+    (0.3, 1000, 0.1, 0): (1335, 44, "45c29297cbf067af0083b2a27dc3014499a017f7f9438c81e5e1151162f822e9"),
+    (0.3, 1000, 0.1, 3): (1343, 47, "94c075dcfcc059b3914899d3cae6fa96d1cd7bc926ee1630e7f778ba74bdd42d"),
+    (0.9, 2, 0.0, 0): (2, 2, "38a4ff3e365b40256e079d7a3832be8af2f7dd801e67724b8863d5d78e5115f0"),
+    (0.9, 2, 0.0, 3): (8, 2, "23b21ca2e3d699ebd9048504a4624f7c0b3a431c23bd0e058546616ff1f30e7f"),
+    (0.9, 2, 0.1, 0): (2, 2, "38a4ff3e365b40256e079d7a3832be8af2f7dd801e67724b8863d5d78e5115f0"),
+    (0.9, 2, 0.1, 3): (8, 2, "23b21ca2e3d699ebd9048504a4624f7c0b3a431c23bd0e058546616ff1f30e7f"),
+    (0.9, 3, 0.0, 0): (4, 2, "9c67ad55cd6fe820dcb05c60eea73517311237b29a2a4c4656a4014267c5faf2"),
+    (0.9, 3, 0.0, 3): (10, 2, "3c98652c4252ee7bad706c3e924dd1aaac27b2e6323ea5ceeba065359ed52e24"),
+    (0.9, 3, 0.1, 0): (4, 2, "9c67ad55cd6fe820dcb05c60eea73517311237b29a2a4c4656a4014267c5faf2"),
+    (0.9, 3, 0.1, 3): (10, 2, "3c98652c4252ee7bad706c3e924dd1aaac27b2e6323ea5ceeba065359ed52e24"),
+    (0.9, 50, 0.0, 0): (71, 6, "c8f7023c911f4edc9148625251ee765cde71cf2108a55e90cf3fe7a180822659"),
+    (0.9, 50, 0.0, 3): (82, 6, "ba339750c3339fdd13634816716eab3ee66cbe13cf00e3b60a15f491097e6e76"),
+    (0.9, 50, 0.1, 0): (79, 5, "51d0796a2b2c36bfc1b0dc5b32fff6ce1981053536d991d6bb609da899b7857f"),
+    (0.9, 50, 0.1, 3): (92, 5, "809f1260362b468c2c32bbc67afc26f7a7bf83d8f03c4d0784a2bf6f29fa4890"),
+    (0.9, 1000, 0.0, 0): (1454, 38, "28886667f9ed8af6f0324a2443aaeb21a20acd3720a268c79bd58fc95908ce8e"),
+    (0.9, 1000, 0.0, 3): (1455, 38, "22d795c8c430581bb01c78d651ba471e5eb8fa571b294527b8f2143f39ac6e84"),
+    (0.9, 1000, 0.1, 0): (1597, 30, "13ae6471d386252b2cff9a8c1df12e71cc0393fb300eb700d44c7bf9176d2894"),
+    (0.9, 1000, 0.1, 3): (1583, 37, "807aa07c9f29082df6de251a09f29b13ffa38868a0a6ad5fd6efe8a9a24fe4f3"),
+}
+
+
+@pytest.mark.parametrize("mode", ["counting", "full"])
+@pytest.mark.parametrize("beta0,k,eps,delay", list(GOLDEN_OFC_BETA0))
+def test_golden_sessions_ofc_beta0(beta0, k, eps, delay, mode):
+    r = run_session(OFC(beta0), k, eps, seed=3, payload_mode=mode, feedback_delay=delay)
+    digest = hashlib.sha256(repr(r.trace).encode()).hexdigest()
+    assert (r.sent_total, r.feedback_total, digest) == GOLDEN_OFC_BETA0[beta0, k, eps, delay]
 
 
 B, D, S, C = "build-up", "degree1-seeding", "systematic", "completion"

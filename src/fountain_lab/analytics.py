@@ -12,10 +12,11 @@ two ingredients:
   costs ``1/completion_prob(n, k)`` transmissions, discounted by the stored
   edges.
 
-Each regime is written once, as an array expression over s (``_ofc``,
-``_ofcnb_*``, ``_sofc``); the public functions evaluate it at a single s
-and :func:`expected_curve` over s = 1..k in one pass, so call the latter
-when many s are needed.
+Each regime is written once, as pieces that are scalar functions of s
+(``_ofc``, ``_ofcnb_*``, ``_sofc``); the public functions evaluate it at a
+single s and :func:`expected_curve` over s = 1..k in one pass, so call the
+latter when many s are needed.  Only :func:`expected_curve` and
+:func:`compare_to_curve` import numpy: ``fountain-lab predict`` runs without it.
 
 Random-selection schemes extend to a lossy channel by dividing the lossless
 count by (1 - eps) (:func:`lossy_adjust`); the systematic scheme's formulas
@@ -30,11 +31,14 @@ not at the seeding boundary.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from itertools import accumulate
+from typing import TYPE_CHECKING
 
 from .config import OFC, OFCNB, SOFC, SchemeConfig
 from .degree import _completion_probs, completion_prob
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DEGREE_AT_HALF",
@@ -48,6 +52,7 @@ __all__ = [
     "expected_ofcnb",
     "expected_sofc",
     "lossy_adjust",
+    "expected_transmitted",
     "expected_curve",
     "compare_to_curve",
 ]
@@ -66,7 +71,6 @@ def mean_selection_degree(alpha: float) -> float:
 #: quarter of it counts surviving small-component edges per later recovery.
 DEGREE_AT_HALF = mean_selection_degree(0.5)
 
-
 def epsilon_threshold() -> float:
     """Erasure rate above which the systematic scheme loses its full-recovery edge."""
     return 0.5 - DEGREE_AT_HALF / 8.0
@@ -82,37 +86,36 @@ def _ridx(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def _inv_completion_prefix(k: int) -> np.ndarray:
-    """prefix[j] = sum_{i<j} 1/completion_prob(i, k)."""
-    return np.concatenate([[0.0], np.cumsum(1.0 / _completion_probs(k))])
+def _completion_sum(k: int, lo: int):
+    """The function s -> sum_{i=lo}^{s-1} 1/completion_prob(i, k), for s > lo.
+
+    Its prefix sum over the whole table is built at its first call, so a
+    piece that takes no s never builds it.
+    """
+    prefix = []
+
+    def total(s: int) -> float:
+        if not prefix:
+            prefix.extend(accumulate((1.0 / p for p in _completion_probs(k)), initial=0.0))
+        return prefix[s] - prefix[lo]
+
+    return total
 
 
-def _completion_sum(k: int, lo: int, s: np.ndarray) -> np.ndarray:
-    """sum_{i=lo}^{s-1} 1/completion_prob(i, k) for each s > lo."""
-    prefix = _inv_completion_prefix(k)
-    return prefix[s] - prefix[lo]
+def _piecewise(s: range, *pieces) -> list[float]:
+    """Evaluate a piecewise curve at each s of the ascending range ``s``.
 
-
-def _log1p(x: np.ndarray) -> np.ndarray:
-    """``math.log1p`` elementwise; ``np.log1p`` can differ from it in the last bit."""
-    return np.fromiter(map(math.log1p, x.tolist()), float, len(x))
-
-
-def _piecewise(s: np.ndarray, *pieces) -> np.ndarray:
-    """Evaluate a piecewise curve at the int array ``s``.
-
-    ``pieces`` are (last, fn) pairs read like an if-chain: fn gives the curve
-    at the s that no earlier piece took and that are <= last (every
+    ``pieces`` are (last, fn) pairs read like an if-chain: fn(s) gives the
+    curve at the s that no earlier piece took and that are <= last (every
     remaining s when last is None).  A piece that takes no s is not
     evaluated, so a single s computes only its own piece.
     """
-    out = np.empty(s.shape)
-    todo = np.ones(s.shape, dtype=bool)
+    out = []
+    lo = s.start
     for last, fn in pieces:
-        take = todo if last is None else todo & (s <= last)
-        if take.any():
-            out[take] = fn(s[take])
-        todo &= ~take
+        hi = s.stop if last is None else max(lo, min(last + 1, s.stop))
+        out += map(fn, range(lo, hi))
+        lo = hi
     return out
 
 
@@ -123,20 +126,23 @@ def _check_s(s: int, k: int) -> None:
         raise ValueError(f"need 1 <= s <= k, got s={s}, k={k}")
 
 
+def _check_eps(eps: float) -> None:
+    if not 0.0 <= eps < 1.0:
+        raise ValueError(f"eps must be in [0, 1), got {eps}")
+
+
 def _at(curve, s: int, k: int, *args) -> float:
-    """Evaluate the array form ``curve(s, k, *args)`` at a single s."""
+    """Evaluate the piecewise form ``curve(s, k, *args)`` at a single s."""
     _check_s(s, k)
-    return float(curve(np.array([s]), k, *args)[0])
+    return curve(range(s, s + 1), k, *args)[0]
 
 
-def _ofc(s: np.ndarray, k: int) -> np.ndarray:
+def _ofc(s: range, k: int) -> list[float]:
     half = _ridx(k / 2)
     base = k * LN2
-    return _piecewise(
-        s,
-        (half, lambda s: base),
-        (None, lambda s: base + (1.0 - DEGREE_AT_HALF / 4.0) * _completion_sum(k, half, s)),
-    )
+    completion = _completion_sum(k, half)
+    return _piecewise(s, (half, lambda s: base),
+                      (None, lambda s: base + (1.0 - DEGREE_AT_HALF / 4.0) * completion(s)))
 
 
 def expected_ofc(s: int, k: int) -> float:
@@ -149,21 +155,20 @@ def expected_ofc(s: int, k: int) -> float:
     return _at(_ofc, s, k)
 
 
-def _ofcnb_small(s: np.ndarray, k: int, gamma0: float) -> np.ndarray:
+def _ofcnb_small(s: range, k: int, gamma0: float) -> list[float]:
     if not 0.0 < gamma0 <= 0.05:
         raise ValueError(f"small-seeding form needs 0 < gamma0 <= 0.05, got {gamma0}")
     g = _ridx(gamma0 * k)
     half = _ridx(k / 2)
+    tail = -k * math.log(0.5 + gamma0) / (1.0 - 2.0 * gamma0)
+    completion = _completion_sum(k, half)
 
     def degree_two(s):
         u = s - g
-        return -(k * k) * _log1p(-u / k) / (2.0 * u)
+        return -(k * k) * math.log1p(-u / k) / (2.0 * u)
 
-    def completion(s):
-        tail = -k * math.log(0.5 + gamma0) / (1.0 - 2.0 * gamma0)
-        return (1.0 - DEGREE_AT_HALF / 4.0) * _completion_sum(k, half, s) + tail
-
-    return _piecewise(s, (g, lambda s: s), (half, degree_two), (None, completion))
+    return _piecewise(s, (g, float), (half, degree_two),
+                      (None, lambda s: (1.0 - DEGREE_AT_HALF / 4.0) * completion(s) + tail))
 
 
 def expected_ofcnb_small(s: int, k: int, gamma0: float) -> float:
@@ -171,16 +176,14 @@ def expected_ofcnb_small(s: int, k: int, gamma0: float) -> float:
     return _at(_ofcnb_small, s, k, gamma0)
 
 
-def _ofcnb_large(s: np.ndarray, k: int, gamma0: float) -> np.ndarray:
+def _ofcnb_large(s: range, k: int, gamma0: float) -> list[float]:
     if not 0.5 <= gamma0 <= 1.0:
         raise ValueError(f"heavy-seeding form needs 0.5 <= gamma0 <= 1, got {gamma0}")
     g = _ridx(gamma0 * k)
-    return _piecewise(
-        s,
-        (min(g, k - 1), lambda s: -k * _log1p(-s / k)),
-        (g, lambda s: math.inf),  # s = k while still seeding: never completes
-        (None, lambda s: _completion_sum(k, g, s) - k * math.log1p(-gamma0)),
-    )
+    completion = _completion_sum(k, g)
+    return _piecewise(s, (min(g, k - 1), lambda s: -k * math.log1p(-s / k)),
+                      (g, lambda s: math.inf),  # s = k while still seeding: never completes
+                      (None, lambda s: completion(s) - k * math.log1p(-gamma0)))
 
 
 def expected_ofcnb_large(s: int, k: int, gamma0: float) -> float:
@@ -192,25 +195,22 @@ def expected_ofcnb_large(s: int, k: int, gamma0: float) -> float:
     return _at(_ofcnb_large, s, k, gamma0)
 
 
-def _ofcnb_general(s: np.ndarray, k: int, gamma0: float) -> np.ndarray:
+def _ofcnb_general(s: range, k: int, gamma0: float) -> list[float]:
     if not 0.0 < gamma0 < 0.5:
         raise ValueError(f"general form needs 0 < gamma0 < 0.5, got {gamma0}")
     g = _ridx(gamma0 * k)
     half = _ridx(k / 2)
-
-    def completion(s):
-        # usable fraction of the degree-2 stage, averaged over its endpoints
-        p_u = 0.5 * (completion_prob(g, k) + completion_prob(half, k))
-        stored_edges = math.log(2.0 - 2.0 * gamma0) * k * p_u - (0.5 - gamma0) * k
-        factor = 1.0 - 2.0 * stored_edges / k
-        return k * LN2 + factor * _completion_sum(k, half, s)
-
+    # usable fraction of the degree-2 stage, averaged over its endpoints
+    p_u = 0.5 * (completion_prob(g, k) + completion_prob(half, k))
+    stored_edges = math.log(2.0 - 2.0 * gamma0) * k * p_u - (0.5 - gamma0) * k
+    factor = 1.0 - 2.0 * stored_edges / k
+    completion = _completion_sum(k, half)
     return _piecewise(
         s,
-        (g, lambda s: -k * _log1p(-s / k)),
+        (g, lambda s: -k * math.log1p(-s / k)),
         (half, lambda s: (s - gamma0 * k) * math.log(2.0 - 2.0 * gamma0) / (0.5 - gamma0)
          - k * math.log1p(-gamma0)),
-        (None, completion),
+        (None, lambda s: k * LN2 + factor * completion(s)),
     )
 
 
@@ -224,7 +224,7 @@ def expected_ofcnb_general(s: int, k: int, gamma0: float) -> float:
     return _at(_ofcnb_general, s, k, gamma0)
 
 
-def _ofcnb(s: np.ndarray, k: int, gamma0: float) -> np.ndarray:
+def _ofcnb(s: range, k: int, gamma0: float) -> list[float]:
     if gamma0 <= 0.05:
         return _ofcnb_small(s, k, gamma0)
     if gamma0 < 0.5:
@@ -237,33 +237,35 @@ def expected_ofcnb(s: int, k: int, gamma0: float) -> float:
     return _at(_ofcnb, s, k, gamma0)
 
 
-def _sofc(s: np.ndarray, k: int, eps: float) -> np.ndarray:
-    if not 0.0 <= eps < 1.0:
-        raise ValueError(f"eps must be in [0, 1), got {eps}")
+def _sofc(s: range, k: int, eps: float) -> list[float]:
+    _check_eps(eps)
     r = _ridx((1.0 - eps) * k)
     half = _ridx(k / 2)
-    systematic = (r, lambda s: s / (1.0 - eps))
+    keep = 1.0 - eps
+    systematic = (r, lambda s: s / keep)
     if eps <= 0.5:
-        return _piecewise(s, systematic, (None, lambda s: k + _completion_sum(k, r, s) / (1.0 - eps)))
+        completion = _completion_sum(k, r)
+        return _piecewise(s, systematic, (None, lambda s: k + completion(s) / keep))
+    completion = _completion_sum(k, half)
     if eps < 0.99:
-        def completion(s):
-            p_u = 0.5 * (completion_prob(r, k) + completion_prob(half, k))
-            stored_edges = math.log(2.0 * eps) * k * p_u - (eps - 0.5) * k
-            factor = (k - 2.0 * stored_edges) / (k * (1.0 - eps))
-            return k + k * math.log(2.0 * eps) / (1.0 - eps) + factor * _completion_sum(k, half, s)
-
+        slope = math.log(2.0 * eps)
+        p_u = 0.5 * (completion_prob(r, k) + completion_prob(half, k))
+        stored_edges = slope * k * p_u - (eps - 0.5) * k
+        factor = (k - 2.0 * stored_edges) / (k * keep)
+        base = k + k * slope / keep
         return _piecewise(
             s,
             systematic,
-            (half, lambda s: k + (s - (1.0 - eps) * k) * math.log(2.0 * eps) / ((eps - 0.5) * (1.0 - eps))),
-            (None, completion),
+            (half, lambda s: k + (s - keep * k) * slope / ((eps - 0.5) * keep)),
+            (None, lambda s: base + factor * completion(s)),
         )
+    base = k + k * LN2 / keep
+    factor = (1.0 - DEGREE_AT_HALF / 4.0) / keep
     return _piecewise(
         s,
         systematic,
-        (half, lambda s: k - (k * k) * _log1p(-s / k) / (2.0 * s * (1.0 - eps))),
-        (None, lambda s: k + k * LN2 / (1.0 - eps)
-         + (1.0 - DEGREE_AT_HALF / 4.0) / (1.0 - eps) * _completion_sum(k, half, s)),
+        (half, lambda s: k - (k * k) * math.log1p(-s / k) / (2.0 * s * keep)),
+        (None, lambda s: base + factor * completion(s)),
     )
 
 
@@ -284,21 +286,24 @@ def lossy_adjust(expected_lossless: float | np.ndarray, eps: float) -> float | n
     Applies to the random-selection schemes only; the systematic scheme's
     formulas already embed eps and must not pass through here.
     """
-    if not 0.0 <= eps < 1.0:
-        raise ValueError(f"eps must be in [0, 1), got {eps}")
+    _check_eps(eps)
     return expected_lossless / (1.0 - eps)
 
 
-def _transmitted(s: np.ndarray, k: int, config: SchemeConfig, eps: float) -> np.ndarray:
+def _transmitted(s: range, k: int, config: SchemeConfig, eps: float) -> list[float]:
     if isinstance(config, SOFC):
         return _sofc(s, k, eps)
     if isinstance(config, OFCNB):
-        return lossy_adjust(_ofcnb(s, k, config.gamma0), eps)
-    if isinstance(config, OFC):
+        lossless = _ofcnb(s, k, config.gamma0)
+    elif isinstance(config, OFC):
         if config.beta0 != 0.5:
             raise ValueError("closed forms cover the beta0 = 0.5 operating point only")
-        return lossy_adjust(_ofc(s, k), eps)
-    raise TypeError(f"unknown scheme config {config!r}")
+        lossless = _ofc(s, k)
+    else:
+        raise TypeError(f"unknown scheme config {config!r}")
+    _check_eps(eps)
+    keep = 1.0 - eps
+    return [n / keep for n in lossless]  # lossy_adjust, count by count
 
 
 def expected_transmitted(config: SchemeConfig, s: int, k: int, eps: float = 0.0) -> float:
@@ -306,10 +311,17 @@ def expected_transmitted(config: SchemeConfig, s: int, k: int, eps: float = 0.0)
     return _at(_transmitted, s, k, config, eps)
 
 
+def _curve(config: SchemeConfig, k: int, eps: float) -> list[float]:
+    """:func:`expected_curve` as a list of floats, without numpy."""
+    _check_s(k, k)  # k >= 2; every s in 1..k is then in range
+    return _transmitted(range(1, k + 1), k, config, eps)
+
+
 def expected_curve(config: SchemeConfig, k: int, eps: float = 0.0) -> np.ndarray:
     """Expected transmitted count for every s = 1..k (index s-1)."""
-    _check_s(k, k)  # k >= 2; every s in 1..k is then in range
-    return _transmitted(np.arange(1, k + 1), k, config, eps)
+    import numpy as np
+
+    return np.array(_curve(config, k, eps))
 
 
 def compare_to_curve(
@@ -324,6 +336,8 @@ def compare_to_curve(
     Compares at every milestone with band[0] <= s/k <= band[1]; returns the
     max and mean of |empirical - analytic| / analytic.
     """
+    import numpy as np
+
     milestones = np.asarray(milestones)
     sent_mean = np.asarray(sent_mean, dtype=float)
     lo, hi = band[0] * k, band[1] * k

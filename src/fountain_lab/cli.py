@@ -15,7 +15,7 @@ import os
 import sys
 
 # sim, wire and json are imported inside the commands that use them, so a
-# cold predict loads the closed forms and nothing of the session loop.
+# cold predict loads the closed forms and neither numpy nor the session loop.
 from . import analytics
 from .config import OFC, OFCNB, SOFC, EveryDegreeChange, SchemeConfig, Threshold
 
@@ -82,11 +82,11 @@ def _sidecar(path: str) -> str:
 
 def cmd_predict(args) -> int:
     config = _scheme(args)
-    curve = analytics.expected_curve(config, args.k, args.eps)
+    curve = analytics._curve(config, args.k, args.eps)
     # one %-format over interleaved (s, n) values: half the cost of a row loop
     cells = [None] * (2 * args.k)
     cells[0::2] = range(1, args.k + 1)
-    cells[1::2] = curve.tolist()
+    cells[1::2] = curve
     _write(args.out, PREDICT_HEADER + "\n" + ("%d,%.6f\n" * args.k) % tuple(cells))
     return EXIT_OK
 

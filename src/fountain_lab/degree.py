@@ -15,8 +15,7 @@ without-replacement probabilities for validation.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from array import array
 
 __all__ = [
     "case1_prob",
@@ -86,34 +85,37 @@ def completion_prob(n: int, k: int) -> float:
     return useful_prob(optimal_degree(beta, k), beta)
 
 
-def _optimal_degrees(k: int) -> np.ndarray:
-    """``optimal_degree(n / k, k)`` for n = 0..k-1, as whole floats.
+def _completion_table(k: int) -> tuple[list[int], list[float]]:
+    """``optimal_degree(n / k, k)`` and ``completion_prob(n, k)`` for n = 0..k-1 (k >= 2).
 
-    floor(M) + 1 over the whole beta grid; the few tie indices go through
-    the scalar itself, so its tie rule is the only one.
+    One pass inlines both scalars term for term (``**`` is the C ``pow`` in
+    both), so each value is bit-equal to theirs; tie indices go through
+    :func:`optimal_degree` itself, so its tie rule is the only one.
     """
-    beta = np.arange(k) / k
-    x = 1.0 - beta
-    root = 0.5 + 0.5 * np.sqrt(9.0 * x * x - 16.0 * x + 8.0) / x
-    m = np.floor(root) + 1.0
-    for n in np.flatnonzero(np.abs(root - np.rint(root)) < 1e-6).tolist():
-        m[n] = optimal_degree(n / k)
-    return np.minimum(m, k, out=m)
+    degrees = []
+    probs = []
+    for n in range(k):
+        beta = n / k
+        x = 1.0 - beta
+        root = 0.5 + 0.5 * math.sqrt(9.0 * x * x - 16.0 * x + 8.0) / x
+        m = math.floor(root) + 1
+        # |root - round(root)| < 1e-6, as optimal_degree tests it
+        if root - (m - 1) < 1e-6 or m - root < 1e-6:
+            m = optimal_degree(beta, k)
+        elif m > k:
+            m = k
+        degrees.append(m)
+        # useful_prob(m, beta) = case1_prob + case2_prob
+        probs.append(m * beta ** (m - 1) * x + (m * (m - 1) / 2.0) * beta ** (m - 2) * x ** 2)
+    return degrees, probs
 
 
-def _completion_probs(k: int) -> np.ndarray:
-    """``completion_prob(n, k)`` for n = 0..k-1 (k >= 2), bit-equal to the scalar.
+def _optimal_degrees(k: int) -> array:
+    return array("q", _completion_table(k)[0])
 
-    Powers use ``np.float_power``, which calls the C library's ``pow`` per
-    element just as Python's ``**`` does; ``np.power`` may take a SIMD
-    ``pow`` that differs in the last bit.
-    """
-    m = _optimal_degrees(k)
-    beta = np.arange(k) / k
-    x = 1.0 - beta
-    # useful_prob(m, beta) = case1_prob + case2_prob, term for term
-    return (m * np.float_power(beta, m - 1) * x
-            + (m * (m - 1) / 2.0) * np.float_power(beta, m - 2) * np.float_power(x, 2))
+
+def _completion_probs(k: int) -> array:
+    return array("d", _completion_table(k)[1])
 
 
 def exact_case_probs(k: int, r: int, m: int) -> tuple[float, float]:

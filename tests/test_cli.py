@@ -50,6 +50,28 @@ def test_predict_rejects_fewer_than_two_symbols(tmp_path, capsys):
     assert not out.exists()
 
 
+# SHA-256 of the predict CSV bytes at eps 0.1, taken before the closed forms
+# moved from numpy to Python floats; they cover the %.6f formatting path
+PREDICT_GOLDEN = [
+    ("ofc", [], 1000, "1998847c7ad4f87c9bec1d04f42b419dc9f863f9ac09110b01e052505e265231"),
+    ("ofcnb", ["--gamma0", "0.01"], 1000, "aa49808d0b55851ff8bb2044a0d61e939be4358e0d0d4b76911afb15045cc0ad"),
+    ("sofc", [], 1000, "832419006a6fb078ab69cae7de0040ddd0b1dc158c6bcbd782d214d2a66c688e"),
+    ("ofc", [], 4096, "2730f246bfcddd2701d97f6cff6ed2413f4b421467b664fa0ce317db2174f9a6"),
+    ("ofcnb", ["--gamma0", "0.01"], 4096, "eef173888ebc574dda9d704f2007c16f3270ec33fa1a52ed7bcd10e8d131e965"),
+    ("sofc", [], 4096, "06f102a9da85e79ab90794091ae945f699cfb650ebcf03a879dd17b4dc6f6142"),
+    ("ofc", [], 100000, "49148fb93402a779efb757ce1ecf1f1444c89173a9a81dea078ccd1e4d52bc10"),
+    ("ofcnb", ["--gamma0", "0.01"], 100000, "86c5c195bd7f22a13ff0c18ccc83c8a004a632d4dc19753ad099c51468c38cc9"),
+    ("sofc", [], 100000, "da8aa30f3aaf6de5492c53dd57e4bbd6cfe81dd54d2555f477979fdf7ad17692"),
+]
+
+
+@pytest.mark.parametrize("scheme,extra,k,digest", PREDICT_GOLDEN)
+def test_golden_predict_csv(tmp_path, scheme, extra, k, digest):
+    out = tmp_path / "curve.csv"
+    assert run("predict", "--scheme", scheme, "--k", str(k), "--eps", "0.1", *extra, "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_unknown_flag_exits_2(tmp_path):
     with pytest.raises(SystemExit) as e:
         run("predict", "--scheme", "sofc", "--nope", "1", "--out", str(tmp_path / "x.csv"))

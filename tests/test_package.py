@@ -32,6 +32,25 @@ def test_cli_predict_leaves_session_loop_unloaded(tmp_path):
     assert len((tmp_path / "sofc.csv").read_text().splitlines()) == 51
 
 
+def test_cli_predict_leaves_numpy_unloaded(tmp_path):
+    # the closed forms compute in Python floats: a cold predict never pays
+    # for numpy's import
+    src = str(Path(fountain_lab.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "from fountain_lab import cli\n"
+        "for scheme, extra in (('ofc', []), ('ofcnb', ['--gamma0', '0.01']), ('sofc', [])):\n"
+        "    out = sys.argv[1] + '/' + scheme + '.csv'\n"
+        "    assert cli.main(['predict', '--scheme', scheme, '--k', '1000', '--eps', '0.1', '--out', out] + extra) == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+    assert len((tmp_path / "ofcnb.csv").read_text().splitlines()) == 1001
+
+
 def test_every_export_is_the_object_in_its_home_module():
     modules = [importlib.import_module(f"fountain_lab.{name}") for name in SUBMODULES]
     for name in fountain_lab.__all__:

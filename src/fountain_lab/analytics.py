@@ -14,8 +14,10 @@ two ingredients:
 
 Each regime is written once, as pieces that are scalar functions of s
 (``_ofc``, ``_ofcnb_*``, ``_sofc``); the public functions evaluate it at a
-single s and :func:`expected_curve` over s = 1..k in one pass, so call the
-latter when many s are needed.  Only :func:`expected_curve` and
+single s and :func:`expected_curve` over s = 1..k in one pass.  The
+completion pieces read one prefix sum of ``1/completion_prob`` per k, built at
+the first s past the breakpoint and kept for the latest k, so scalar calls at
+one k share it.  Only :func:`expected_curve` and
 :func:`compare_to_curve` import numpy: ``fountain-lab predict`` runs without it.
 
 Random-selection schemes extend to a lossy channel by dividing the lossless
@@ -31,6 +33,7 @@ not at the seeding boundary.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import accumulate
 from typing import TYPE_CHECKING
 
@@ -86,17 +89,27 @@ def _ridx(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+@lru_cache(maxsize=1)
+def _completion_prefix(k: int) -> tuple[float, ...]:
+    """sum_{i<n} 1/completion_prob(i, k) for n = 0..k, summed left to right.
+
+    Kept for the latest k only, so scalar calls at one k build the table once.
+    """
+    return tuple(accumulate((1.0 / p for p in _completion_probs(k)), initial=0.0))
+
+
 def _completion_sum(k: int, lo: int):
     """The function s -> sum_{i=lo}^{s-1} 1/completion_prob(i, k), for s > lo.
 
-    Its prefix sum over the whole table is built at its first call, so a
-    piece that takes no s never builds it.
+    The prefix is fetched at its first call, so a piece that takes no s
+    never builds it.
     """
-    prefix = []
+    prefix = None
 
     def total(s: int) -> float:
-        if not prefix:
-            prefix.extend(accumulate((1.0 / p for p in _completion_probs(k)), initial=0.0))
+        nonlocal prefix
+        if prefix is None:
+            prefix = _completion_prefix(k)
         return prefix[s] - prefix[lo]
 
     return total

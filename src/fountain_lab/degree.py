@@ -85,28 +85,79 @@ def completion_prob(n: int, k: int) -> float:
     return useful_prob(optimal_degree(beta, k), beta)
 
 
+def _degree_at(n: int, k: int) -> int:
+    """``optimal_degree(n / k, k)`` for 0 <= n < k; only ties call it."""
+    beta = n / k
+    x = 1.0 - beta
+    root = 0.5 + 0.5 * math.sqrt(9.0 * x * x - 16.0 * x + 8.0) / x
+    m = math.floor(root) + 1
+    # |root - round(root)| < 1e-6, as optimal_degree tests it
+    if root - (m - 1) < 1e-6 or m - root < 1e-6:
+        return optimal_degree(beta, k)
+    return m if m <= k else k
+
+
 def _completion_table(k: int) -> tuple[list[int], list[float]]:
     """``optimal_degree(n / k, k)`` and ``completion_prob(n, k)`` for n = 0..k-1 (k >= 2).
 
-    One pass inlines both scalars term for term (``**`` is the C ``pow`` in
-    both), so each value is bit-equal to theirs; tie indices go through
-    :func:`optimal_degree` itself, so its tie rule is the only one.
+    The degree column is built run by run: from a run's first n,
+    :func:`_degree_at` gallops, then bisects, to the first n of another
+    degree, so a table costs O(runs * log k) square roots, not k (the degree
+    is 2 for every n below k/2 and takes about 750 values at k = 1e5).  Each
+    run's probabilities then repeat :func:`useful_prob`'s expression term for
+    term with its degree's constants hoisted (``**`` is the C ``pow`` in both),
+    so every degree and probability is bit-equal to the scalar forms; tie
+    indices go through :func:`optimal_degree` itself, so its tie rule is the
+    only one.
+
+    The run search needs the degree to never decrease in n, which holds:
+
+    * the exact root rises strictly in beta, and float noise in it is about
+      1e-15 relative, far below the 1e-6 window that sends near-integer roots
+      through :func:`optimal_degree`, so the floored root cannot step back;
+    * inside a window, :func:`optimal_degree` compares ``useful_prob`` at the
+      two degrees.  Their exact difference changes sign once, at the tie,
+      with slope 0.486 to 1 in beta at every tie, so rounding can misplace
+      that sign change by about 1e-15 in beta: never past a neighbouring n
+      while k < 1e14.  So an n inside a window needs no call of its own,
+      although a window spans several n wherever d root/dn < 1e-6 (near
+      beta = 0, where every n gets degree 2, and for k above about 5e6 at
+      the first step, beta = 1/2, where d root/dn is 5.3/k).
     """
     degrees = []
     probs = []
-    for n in range(k):
-        beta = n / k
-        x = 1.0 - beta
-        root = 0.5 + 0.5 * math.sqrt(9.0 * x * x - 16.0 * x + 8.0) / x
-        m = math.floor(root) + 1
-        # |root - round(root)| < 1e-6, as optimal_degree tests it
-        if root - (m - 1) < 1e-6 or m - root < 1e-6:
-            m = optimal_degree(beta, k)
-        elif m > k:
-            m = k
-        degrees.append(m)
+    append = probs.append
+    a = 0
+    m = _degree_at(0, k)
+    while a < k:
+        # _degree_at(lo) == m; hi is k or the first n found of another degree
+        lo, step = a, 1
+        while True:
+            hi = lo + step
+            if hi >= k:
+                hi = k
+                break
+            d = _degree_at(hi, k)
+            if d != m:
+                break
+            lo, step = hi, 2 * step
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            d_mid = _degree_at(mid, k)
+            if d_mid == m:
+                lo = mid
+            else:
+                hi, d = mid, d_mid
+        degrees += [m] * (hi - a)
         # useful_prob(m, beta) = case1_prob + case2_prob
-        probs.append(m * beta ** (m - 1) * x + (m * (m - 1) / 2.0) * beta ** (m - 2) * x ** 2)
+        e1 = m - 1
+        e2 = m - 2
+        c = m * (m - 1) / 2.0
+        for n in range(a, hi):
+            beta = n / k
+            x = 1.0 - beta
+            append(m * beta ** e1 * x + c * beta ** e2 * x ** 2)
+        a, m = hi, d
     return degrees, probs
 
 

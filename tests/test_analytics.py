@@ -321,6 +321,23 @@ def test_completion_table_matches_scalar(k):
     assert _completion_probs(k).tobytes() == want.tobytes()
 
 
+def test_scalar_calls_at_one_k_build_the_completion_table_once(monkeypatch):
+    k = 2000
+    builds = []
+
+    def counting(size):
+        builds.append(size)
+        return _completion_probs(size)
+
+    analytics._completion_prefix.cache_clear()
+    monkeypatch.setattr(analytics, "_completion_probs", counting)
+    values = [expected_ofc(s, k) for s in (1500, 1999)]
+    assert builds == [k]
+    curve = expected_curve(OFC(), k)
+    assert values[0] == curve[1499] and values[1] == curve[1998]
+    assert builds == [k]
+
+
 def test_scalar_forms_reject_bad_eps_and_unknown_config():
     with pytest.raises(ValueError, match=r"eps must be in \[0, 1\), got 1.0"):
         expected_sofc(1, 10, 1.0)

@@ -1,10 +1,14 @@
 import random
+from array import array
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from fountain_lab import degree
 from fountain_lab.degree import (
+    _completion_probs,
+    _optimal_degrees,
     case1_prob,
     case2_prob,
     completion_prob,
@@ -173,3 +177,27 @@ def test_exact_case_probs_errors():
 def test_case_probs_reject_degree_zero(prob):
     with pytest.raises(ValueError, match="degree must be >= 1, got 0"):
         prob(0, 0.5)
+
+
+@pytest.mark.parametrize("ks", [range(2, 401), [25_200, 252_000]], ids=["2-400", "ties"])
+def test_run_built_table_matches_scalar_forms(ks):
+    # the table is built from runs of equal degree; 25_200 and 252_000 put
+    # n / k on the exact ties at 1/2, 6/7 and 35/36
+    for k in ks:
+        assert _optimal_degrees(k).tolist() == [optimal_degree(n / k, k) for n in range(k)], k
+        want = array("d", [completion_prob(n, k) for n in range(k)])
+        assert _completion_probs(k).tobytes() == want.tobytes(), k
+
+
+def test_table_costs_a_degree_per_run_not_per_n(monkeypatch):
+    calls = []
+    degree_at = degree._degree_at
+
+    def counting(n, k):
+        calls.append(n)
+        return degree_at(n, k)
+
+    monkeypatch.setattr(degree, "_degree_at", counting)
+    degree._completion_table(100_000)
+    # about 750 runs, each found by galloping and bisecting
+    assert 0 < len(calls) <= 10_000

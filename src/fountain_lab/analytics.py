@@ -12,12 +12,13 @@ two ingredients:
   costs ``1/completion_prob(n, k)`` transmissions, discounted by the stored
   edges.
 
-Each regime is written once, as pieces that are scalar functions of s
-(``_ofc``, ``_ofcnb_*``, ``_sofc``); the public functions evaluate it at a
-single s and :func:`expected_curve` over s = 1..k in one pass.  The
-completion pieces read one prefix sum of ``1/completion_prob`` per k, built at
-the first s past the breakpoint and kept for the latest k, so scalar calls at
-one k share it.  Only :func:`expected_curve` and
+Each regime is written once (``_ofc``, ``_ofcnb_*``, ``_sofc``), in one
+shape: head pieces that are scalar functions of s, then a completion tail
+given as four numbers (:func:`_piecewise`).  The public functions evaluate a
+regime at a single s and :func:`expected_curve` over s = 1..k in one pass.
+Every tail reads one prefix sum of ``1/completion_prob`` per k, built at the
+first s past the breakpoint and kept for the latest k, so scalar calls at one
+k share it.  Only :func:`expected_curve` and
 :func:`compare_to_curve` import numpy: ``fountain-lab predict`` runs without it.
 
 Random-selection schemes extend to a lossy channel by dividing the lossless
@@ -98,37 +99,29 @@ def _completion_prefix(k: int) -> tuple[float, ...]:
     return tuple(accumulate((1.0 / p for p in _completion_probs(k)), initial=0.0))
 
 
-def _completion_sum(k: int, lo: int):
-    """The function s -> sum_{i=lo}^{s-1} 1/completion_prob(i, k), for s > lo.
-
-    The prefix is fetched at its first call, so a piece that takes no s
-    never builds it.
-    """
-    prefix = None
-
-    def total(s: int) -> float:
-        nonlocal prefix
-        if prefix is None:
-            prefix = _completion_prefix(k)
-        return prefix[s] - prefix[lo]
-
-    return total
-
-
-def _piecewise(s: range, *pieces) -> list[float]:
+def _piecewise(s: range, k: int, *pieces, tail: tuple[int, float, float, float]) -> list[float]:
     """Evaluate a piecewise curve at each s of the ascending range ``s``.
 
     ``pieces`` are (last, fn) pairs read like an if-chain: fn(s) gives the
-    curve at the s that no earlier piece took and that are <= last (every
-    remaining s when last is None).  A piece that takes no s is not
-    evaluated, so a single s computes only its own piece.
+    curve at the s that no earlier piece took and that are <= last.  Every
+    remaining s falls to the completion ``tail`` = (lo, base, mul, div),
+    which gives ``base + (sum_{i=lo}^{s-1} 1/completion_prob(i, k)) * mul / div``.
+    A ``mul`` or ``div`` of 1.0 is exact, so each regime's tail keeps the bits
+    of its written form.  A piece that takes no s is not evaluated, and the
+    completion prefix is fetched only when some s reaches the tail, so a
+    single s computes only its own piece.
     """
     out = []
     lo = s.start
     for last, fn in pieces:
-        hi = s.stop if last is None else max(lo, min(last + 1, s.stop))
+        hi = max(lo, min(last + 1, s.stop))
         out += map(fn, range(lo, hi))
         lo = hi
+    if lo < s.stop:
+        first, base, mul, div = tail
+        prefix = _completion_prefix(k)
+        offset = prefix[first]
+        out += [base + (prefix[t] - offset) * mul / div for t in range(lo, s.stop)]
     return out
 
 
@@ -153,9 +146,8 @@ def _at(curve, s: int, k: int, *args) -> float:
 def _ofc(s: range, k: int) -> list[float]:
     half = _ridx(k / 2)
     base = k * LN2
-    completion = _completion_sum(k, half)
-    return _piecewise(s, (half, lambda s: base),
-                      (None, lambda s: base + (1.0 - DEGREE_AT_HALF / 4.0) * completion(s)))
+    return _piecewise(s, k, (half, lambda s: base),
+                      tail=(half, base, 1.0 - DEGREE_AT_HALF / 4.0, 1.0))
 
 
 def expected_ofc(s: int, k: int) -> float:
@@ -173,15 +165,14 @@ def _ofcnb_small(s: range, k: int, gamma0: float) -> list[float]:
         raise ValueError(f"small-seeding form needs 0 < gamma0 <= 0.05, got {gamma0}")
     g = _ridx(gamma0 * k)
     half = _ridx(k / 2)
-    tail = -k * math.log(0.5 + gamma0) / (1.0 - 2.0 * gamma0)
-    completion = _completion_sum(k, half)
+    base = -k * math.log(0.5 + gamma0) / (1.0 - 2.0 * gamma0)
 
     def degree_two(s):
         u = s - g
         return -(k * k) * math.log1p(-u / k) / (2.0 * u)
 
-    return _piecewise(s, (g, float), (half, degree_two),
-                      (None, lambda s: (1.0 - DEGREE_AT_HALF / 4.0) * completion(s) + tail))
+    return _piecewise(s, k, (g, float), (half, degree_two),
+                      tail=(half, base, 1.0 - DEGREE_AT_HALF / 4.0, 1.0))
 
 
 def expected_ofcnb_small(s: int, k: int, gamma0: float) -> float:
@@ -193,10 +184,11 @@ def _ofcnb_large(s: range, k: int, gamma0: float) -> list[float]:
     if not 0.5 <= gamma0 <= 1.0:
         raise ValueError(f"heavy-seeding form needs 0.5 <= gamma0 <= 1, got {gamma0}")
     g = _ridx(gamma0 * k)
-    completion = _completion_sum(k, g)
-    return _piecewise(s, (min(g, k - 1), lambda s: -k * math.log1p(-s / k)),
+    # log1p(-1) raises; at gamma0 = 1 seeding spans every s and the tail takes none
+    base = -k * math.log1p(-gamma0) if gamma0 < 1.0 else math.inf
+    return _piecewise(s, k, (min(g, k - 1), lambda s: -k * math.log1p(-s / k)),
                       (g, lambda s: math.inf),  # s = k while still seeding: never completes
-                      (None, lambda s: completion(s) - k * math.log1p(-gamma0)))
+                      tail=(g, base, 1.0, 1.0))
 
 
 def expected_ofcnb_large(s: int, k: int, gamma0: float) -> float:
@@ -217,13 +209,12 @@ def _ofcnb_general(s: range, k: int, gamma0: float) -> list[float]:
     p_u = 0.5 * (completion_prob(g, k) + completion_prob(half, k))
     stored_edges = math.log(2.0 - 2.0 * gamma0) * k * p_u - (0.5 - gamma0) * k
     factor = 1.0 - 2.0 * stored_edges / k
-    completion = _completion_sum(k, half)
     return _piecewise(
-        s,
+        s, k,
         (g, lambda s: -k * math.log1p(-s / k)),
         (half, lambda s: (s - gamma0 * k) * math.log(2.0 - 2.0 * gamma0) / (0.5 - gamma0)
          - k * math.log1p(-gamma0)),
-        (None, lambda s: k * LN2 + factor * completion(s)),
+        tail=(half, k * LN2, factor, 1.0),
     )
 
 
@@ -257,9 +248,7 @@ def _sofc(s: range, k: int, eps: float) -> list[float]:
     keep = 1.0 - eps
     systematic = (r, lambda s: s / keep)
     if eps <= 0.5:
-        completion = _completion_sum(k, r)
-        return _piecewise(s, systematic, (None, lambda s: k + completion(s) / keep))
-    completion = _completion_sum(k, half)
+        return _piecewise(s, k, systematic, tail=(r, k, 1.0, keep))
     if eps < 0.99:
         slope = math.log(2.0 * eps)
         p_u = 0.5 * (completion_prob(r, k) + completion_prob(half, k))
@@ -267,18 +256,18 @@ def _sofc(s: range, k: int, eps: float) -> list[float]:
         factor = (k - 2.0 * stored_edges) / (k * keep)
         base = k + k * slope / keep
         return _piecewise(
-            s,
+            s, k,
             systematic,
             (half, lambda s: k + (s - keep * k) * slope / ((eps - 0.5) * keep)),
-            (None, lambda s: base + factor * completion(s)),
+            tail=(half, base, factor, 1.0),
         )
     base = k + k * LN2 / keep
     factor = (1.0 - DEGREE_AT_HALF / 4.0) / keep
     return _piecewise(
-        s,
+        s, k,
         systematic,
         (half, lambda s: k - (k * k) * math.log1p(-s / k) / (2.0 * s * keep)),
-        (None, lambda s: base + factor * completion(s)),
+        tail=(half, base, factor, 1.0),
     )
 
 

@@ -48,7 +48,7 @@ class OFCNB:
                 "gamma0 > 0.5 buys no extra intermediate performance and "
                 "inflates the full-recovery overhead",
                 UserWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
 

@@ -86,15 +86,8 @@ def completion_prob(n: int, k: int) -> float:
 
 
 def _degree_at(n: int, k: int) -> int:
-    """``optimal_degree(n / k, k)`` for 0 <= n < k; only ties call it."""
-    beta = n / k
-    x = 1.0 - beta
-    root = 0.5 + 0.5 * math.sqrt(9.0 * x * x - 16.0 * x + 8.0) / x
-    m = math.floor(root) + 1
-    # |root - round(root)| < 1e-6, as optimal_degree tests it
-    if root - (m - 1) < 1e-6 or m - root < 1e-6:
-        return optimal_degree(beta, k)
-    return m if m <= k else k
+    """The completion table's degree at n: ``optimal_degree(n / k, k)``."""
+    return optimal_degree(n / k, k)
 
 
 def _completion_table(k: int) -> tuple[list[int], list[float]]:
@@ -106,15 +99,13 @@ def _completion_table(k: int) -> tuple[list[int], list[float]]:
     is 2 for every n below k/2 and takes about 750 values at k = 1e5).  Each
     run's probabilities then repeat :func:`useful_prob`'s expression term for
     term with its degree's constants hoisted (``**`` is the C ``pow`` in both),
-    so every degree and probability is bit-equal to the scalar forms; tie
-    indices go through :func:`optimal_degree` itself, so its tie rule is the
-    only one.
+    so every degree and probability is bit-equal to the scalar forms.
 
     The run search needs the degree to never decrease in n, which holds:
 
     * the exact root rises strictly in beta, and float noise in it is about
-      1e-15 relative, far below the 1e-6 window that sends near-integer roots
-      through :func:`optimal_degree`, so the floored root cannot step back;
+      1e-15 relative, far below :func:`optimal_degree`'s 1e-6 tie window, so
+      the floored root cannot step back;
     * inside a window, :func:`optimal_degree` compares ``useful_prob`` at the
       two degrees.  Their exact difference changes sign once, at the tie,
       with slope 0.486 to 1 in beta at every tie, so rounding can misplace

@@ -284,6 +284,9 @@ def _split_blocks(data: bytes, symbol_size: int) -> tuple[SourceBlock, int]:
         k = 2
     if symbol_size > 0xFFFF:
         raise ValueError(f"symbol_size {symbol_size} too large for the 2-byte header field")
+    if k > 0xFFFF:
+        # a completion symbol's degree reaches k near the end of a session
+        raise ValueError(f"k = {k} too large for the 2-byte degree field (at most 65535)")
     padded = data.ljust(k * symbol_size, b"\x00")
     blocks = tuple(padded[i * symbol_size:(i + 1) * symbol_size] for i in range(k))
     return SourceBlock(k, blocks), symbol_size
@@ -302,11 +305,15 @@ def transfer(
     """Move ``data`` through the framed erasure link; returns (output, report).
 
     ``budget`` counts frames including the header and defaults to 50 * k; a
-    budget below k raises ValueError.  Raises :class:`TransferFailed` (with
-    partial stats) when the budget runs out before full recovery.  Every
-    recovered block is checked against the input, so a corrupted symbol
-    that got past the frame checks raises PayloadMismatch "recovered payload
-    mismatch" instead of returning wrong bytes.
+    budget below k raises ValueError.  The input splits into
+    k = ceil(len(data) / symbol_size) source symbols; a k above 65535, the
+    most a frame's 2-byte degree field holds, raises ValueError before any
+    frame is sent, as does a symbol_size above 65535.  Raises
+    :class:`TransferFailed` (with partial stats) when the budget runs out
+    before full recovery.  Every recovered block is checked against the
+    input, so a corrupted symbol that got past the frame checks raises
+    PayloadMismatch "recovered payload mismatch" instead of returning wrong
+    bytes.
     """
     source, symbol_size = _split_blocks(data, symbol_size)
     session_id = seed & 0xFFFFFFFFFFFFFFFF

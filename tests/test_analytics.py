@@ -338,6 +338,37 @@ def test_scalar_calls_at_one_k_build_the_completion_table_once(monkeypatch):
     assert builds == [k]
 
 
+@pytest.mark.filterwarnings("ignore:gamma0 > 0.5")
+@pytest.mark.parametrize("eps", [0.1, 0.7])
+def test_scalar_forms_before_the_completion_breakpoint_build_no_table(monkeypatch, eps):
+    k = 2000
+    builds = []
+
+    def counting(size):
+        builds.append(size)
+        return _completion_probs(size)
+
+    monkeypatch.setattr(analytics, "_completion_probs", counting)
+    # the last s before each form's completion tail: half recovery, the end
+    # of heavy seeding at gamma0 * k, or SOFC's end of the index pass at
+    # (1 - eps) * k when eps <= 0.5
+    breakpoints = [
+        (OFC(), 1000),
+        (OFCNB(0.01), 1000),
+        (OFCNB(0.3), 1000),
+        (OFCNB(0.8), 1600),
+        (SOFC(), 1800 if eps == 0.1 else 1000),
+    ]
+    for config, last in breakpoints:
+        analytics._completion_prefix.cache_clear()
+        builds.clear()
+        for s in (1, last // 2, last):
+            expected_transmitted(config, s, k, eps)
+        assert builds == [], config
+        expected_transmitted(config, last + 1, k, eps)
+        assert builds == [k], config
+
+
 def test_scalar_forms_reject_bad_eps_and_unknown_config():
     with pytest.raises(ValueError, match=r"eps must be in \[0, 1\), got 1.0"):
         expected_sofc(1, 10, 1.0)

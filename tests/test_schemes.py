@@ -1,6 +1,7 @@
 import random
 import struct
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -42,6 +43,13 @@ def test_config_validation():
     with pytest.warns(UserWarning):
         OFCNB(gamma0=0.7)
     assert scheme_name(SOFC()) == "sofc"
+
+
+def test_gamma0_warning_points_at_the_caller():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        OFCNB(gamma0=0.7)
+    assert [w.filename for w in caught] == [__file__]
 
 
 def test_threshold_validation():

@@ -414,3 +414,12 @@ def test_golden_transfer_phase_sent(scheme, k, eps):
 def test_transfer_rejects_zero_symbol_size():
     with pytest.raises(ValueError, match="symbol_size must be >= 1"):
         transfer(b"abc", OFC(), 0.0, symbol_size=0)
+
+
+def test_transfer_rejects_more_source_symbols_than_the_degree_field_holds():
+    # the completion degree reaches k, so k is refused before any frame is
+    # sent; at eps 0 SOFC sends no completion symbol and would finish
+    with pytest.raises(ValueError, match="at most 65535"):
+        transfer(bytes(0x10000), SOFC(), 0.0, symbol_size=1)
+    out, report = transfer(bytes(0xFFFF), SOFC(), 0.0, symbol_size=1)
+    assert report.k == 0xFFFF and out == bytes(0xFFFF)

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -608,6 +609,15 @@ def test_memory_trace_point_allocates_no_more_than_a_tuple_of_its_fields():
     n = 10_000
     sent, received, recovered, event = 100_000, 90_000, 80_000, "beta_update"
     points: list = [None] * n
+    # the keyword call's argument tuple and dict go back to CPython's free
+    # lists, and a full collection empties those lists: refilled while
+    # tracing, they would hold a few hundred bytes that depend on the tests
+    # run before this one. The collector stays off while tracing, and both
+    # forms run once beforehand, so only the points themselves count
+    collecting = gc.isenabled()
+    gc.disable()
+    TracePoint(sent, received, recovered)
+    TracePoint(sent, received, recovered, event=event)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -617,6 +627,8 @@ def test_memory_trace_point_allocates_no_more_than_a_tuple_of_its_fields():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
+        if collecting:
+            gc.enable()
     # CPython allocates every instance of a tuple subclass with one spare
     # item; the 64 B are the loop's own counter
     limit = sys.getsizeof((sent, received, recovered, event)) + struct.calcsize("P")

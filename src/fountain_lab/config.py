@@ -8,6 +8,8 @@ without loading the encoder, the decoder or the session loop.
 
 from __future__ import annotations
 
+import dataclasses
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -44,11 +46,15 @@ class OFCNB:
         if not 0.0 < self.gamma0 <= 1.0:
             raise ValueError(f"gamma0 must be in (0, 1], got {self.gamma0}")
         if self.gamma0 > 0.5:
+            # name the caller's line, past any dataclasses.replace frames
+            level, frame = 3, sys._getframe(2)
+            while frame.f_code.co_filename == dataclasses.__file__:
+                level, frame = level + 1, frame.f_back
             warnings.warn(
                 "gamma0 > 0.5 buys no extra intermediate performance and "
                 "inflates the full-recovery overhead",
                 UserWarning,
-                stacklevel=3,
+                stacklevel=level,
             )
 
 

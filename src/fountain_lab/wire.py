@@ -28,9 +28,11 @@ data symbol is encoded into a frame before the erasure channel decides its
 delivery, each delivered frame is decoded back into a symbol, and each
 feedback message makes the round trip through a feedback frame.  Feedback
 frames and the session header travel on the control path, which is lossless
-per the channel model.  The recovered blocks are checked against the input
-before any bytes are returned, so a transfer either returns the exact input
-or raises.
+per the channel model.  The link checks every frame it decodes, the header
+included: a frame of another type raises ``malformed-frame`` and one from
+another session ``wrong-session``.  The recovered blocks are checked against
+the input before any bytes are returned, so a transfer either returns the
+exact input or raises.
 """
 
 from __future__ import annotations
@@ -125,13 +127,12 @@ _START = struct.Struct(">2sBB")                         # magic version type
 _DATA = struct.Struct(_START.format + "QQH")            # session_id seq_no degree
 _FEEDBACK = struct.Struct(_START.format + "QBI")        # session_id fb_kind recovered
 _HEADER = struct.Struct(_START.format + "QIHQ")         # session_id k symbol_size original_len
-_PAYLOAD_LEN = struct.Struct(">H")
 _CRC = struct.Struct(">I")
 _new = object.__new__
 
 
-def _seal(body: bytes) -> bytes:
-    return body + _CRC.pack(zlib.crc32(body))
+def _seal(head: bytes, payload: bytes) -> bytes:
+    return b"".join((head, payload, _CRC.pack(zlib.crc32(payload, zlib.crc32(head)))))
 
 
 def encode_data(sym: CodedSymbol, session_id: int, seq_no: int) -> bytes:
@@ -144,20 +145,19 @@ def encode_data(sym: CodedSymbol, session_id: int, seq_no: int) -> bytes:
     degree = len(indices)
     if degree > 0xFFFF:
         raise ValueError("degree too large for the 2-byte degree field")
-    return _seal(b"".join((
-        _DATA.pack(MAGIC, VERSION, TYPE_DATA, session_id, seq_no, degree),
-        struct.pack(f">{degree}I", *indices),
-        _PAYLOAD_LEN.pack(payload_len),
-        payload,
-    )))
+    head = struct.pack(
+        f"{_DATA.format}{degree}IH",        # the fixed fields, the indices, payload_len
+        MAGIC, VERSION, TYPE_DATA, session_id, seq_no, degree, *indices, payload_len,
+    )
+    return _seal(head, payload)
 
 
 def encode_feedback(msg: FeedbackMsg, session_id: int) -> bytes:
-    return _seal(_FEEDBACK.pack(MAGIC, VERSION, TYPE_FEEDBACK, session_id, int(msg.kind), msg.recovered))
+    return _seal(_FEEDBACK.pack(MAGIC, VERSION, TYPE_FEEDBACK, session_id, int(msg.kind), msg.recovered), b"")
 
 
 def encode_header(header: SessionHeader) -> bytes:
-    return _seal(_HEADER.pack(MAGIC, VERSION, TYPE_HEADER, *astuple(header)))
+    return _seal(_HEADER.pack(MAGIC, VERSION, TYPE_HEADER, *astuple(header)), b"")
 
 
 def _need(buf: bytes, n: int) -> None:
@@ -186,7 +186,7 @@ def decode_frame(buf: bytes) -> DataFrame | FeedbackFrame | SessionHeader:
     if ftype == TYPE_DATA:
         _need(buf, _DATA.size)
         _, _, _, session_id, seq_no, degree = _DATA.unpack_from(buf)
-        total = _DATA.size + 4 * degree + _PAYLOAD_LEN.size
+        total = _DATA.size + 4 * degree + 2               # indices, payload_len
         _need(buf, total)
         end = total + (buf[total - 2] << 8 | buf[total - 1])
         _sealed(buf, end)
@@ -220,13 +220,6 @@ def decode_frame(buf: bytes) -> DataFrame | FeedbackFrame | SessionHeader:
 # -- file transfer over the framed link -------------------------------------
 
 
-def _expect(frame, frame_type):
-    if not isinstance(frame, frame_type):
-        got = type(frame).__name__
-        raise FrameError("malformed-frame", f"expected {frame_type.__name__}, got {got}")
-    return frame
-
-
 class _FramedLink:
     """Carries symbols and feedback as frames through encode and decode."""
 
@@ -237,7 +230,10 @@ class _FramedLink:
         return encode_data(sym, self.session_id, slot)
 
     def _decode(self, buf: bytes, frame_type):
-        frame = _expect(decode_frame(buf), frame_type)
+        frame = decode_frame(buf)
+        if not isinstance(frame, frame_type):
+            got = type(frame).__name__
+            raise FrameError("malformed-frame", f"expected {frame_type.__name__}, got {got}")
         if frame.session_id != self.session_id:
             raise FrameError("wrong-session", f"{frame.session_id} != {self.session_id}")
         return frame
@@ -318,15 +314,12 @@ def transfer(
     source, symbol_size = _split_blocks(data, symbol_size)
     session_id = seed & 0xFFFFFFFFFFFFFFFF
 
+    link = _FramedLink(session_id)
     # Handshake: the header rides the lossless control path but still counts
     # as one transmitted frame.
-    header = SessionHeader(session_id, source.k, symbol_size, len(data))
-    _expect(decode_frame(encode_header(header)), SessionHeader)
+    link._decode(encode_header(SessionHeader(session_id, source.k, symbol_size, len(data))), SessionHeader)
     header_attempts = 1
-    result, enc, rcv = _drive(
-        config, source, eps, policy, seed, trial_id, budget, _FramedLink(session_id),
-        sent=header_attempts,
-    )
+    result, enc, rcv = _drive(config, source, eps, policy, seed, trial_id, budget, link, sent=header_attempts)
 
     report = TransferReport(
         scheme=result.scheme,

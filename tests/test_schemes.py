@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import struct
 import tracemalloc
@@ -49,6 +50,14 @@ def test_gamma0_warning_points_at_the_caller():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         OFCNB(gamma0=0.7)
+    assert [w.filename for w in caught] == [__file__]
+
+
+def test_gamma0_warning_points_at_the_caller_through_replace():
+    # dataclasses.replace adds frames between the caller and __init__
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        dataclasses.replace(OFCNB(0.3), gamma0=0.7)
     assert [w.filename for w in caught] == [__file__]
 
 

@@ -120,6 +120,41 @@ def test_data_frame_decode_errors_pin_code_and_message():
         assert e.value.code == message.split(":")[0]
 
 
+# sha256 over the concatenated data frames of test_golden_frames_beyond_degree_one,
+# then one feedback frame of each kind and one header frame
+GOLDEN_FRAMES_SHA256 = "035ee0a246f685f37834ee32bccde50a67188032e8d5eacd305c224319262995"
+
+
+def test_golden_frames_beyond_degree_one():
+    import hashlib
+
+    rng = random.Random(7)
+    digest = hashlib.sha256()
+    for degree in (1, 2, 3, 30, 300, 4096):
+        for size in (0, 1, 64, 255, 256, 1024):
+            for session_id, seq_no in ((0, 0), (2**64 - 1, 2**64 - 1)):
+                indices = tuple(sorted(rng.sample(range(10_000), degree)))
+                payload = rng.randbytes(size)
+                buf = encode_data(CodedSymbol(indices, payload), session_id, seq_no)
+                assert decode_frame(buf) == DataFrame(session_id, seq_no, indices, payload)
+                digest.update(buf)
+    for kind in FeedbackKind:
+        digest.update(encode_feedback(FeedbackMsg(kind, 300), 2**64 - 1))
+    digest.update(encode_header(SessionHeader(5, 64, 1024, 65000)))
+    assert digest.hexdigest() == GOLDEN_FRAMES_SHA256
+
+
+def test_every_truncation_of_a_multi_index_frame_names_the_bytes_it_needs():
+    buf = encode_data(CodedSymbol((2, 5, 9), b"abcde"), 1, 0)
+    assert len(buf) == 45      # 22 fixed, 12 index, 2 length, 5 payload, 4 CRC
+    for n in range(len(buf)):
+        # the start, the fixed fields, the indices and payload length, the rest
+        need = 4 if n < 4 else 22 if n < 22 else 36 if n < 36 else 45
+        with pytest.raises(FrameError) as e:
+            decode_frame(buf[:n])
+        assert str(e.value) == f"truncated: need {need} bytes, have {n}"
+
+
 def test_decoded_data_frame_is_a_plain_dataclass():
     frame = decode_frame(encode_data(CodedSymbol((1, 4, 9), b"\x00\x07" * 300), 5, 11))
     assert type(frame) is DataFrame
@@ -337,6 +372,20 @@ def test_framed_link_rejects_feedback_frame_from_another_session(monkeypatch):
         _FramedLink(7).feedback(FeedbackMsg(FeedbackKind.BETA_UPDATE, 3))
     assert e.value.code == "wrong-session"
     assert str(e.value) == "wrong-session: 8 != 7"
+
+
+def test_transfer_rejects_a_header_from_another_session(monkeypatch):
+    import fountain_lab.wire as wire
+
+    real = wire.encode_header
+    monkeypatch.setattr(
+        wire, "encode_header",
+        lambda header: real(dataclasses.replace(header, session_id=header.session_id + 1)),
+    )
+    with pytest.raises(FrameError) as e:
+        transfer(random.Random(1).randbytes(4096), SOFC(), 0.1, seed=3, symbol_size=64)
+    assert e.value.code == "wrong-session"
+    assert str(e.value) == "wrong-session: 4 != 3"
 
 
 # sha256 of each golden input: 64 blocks less 5 bytes, random.Random(symbol_size)

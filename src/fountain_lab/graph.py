@@ -95,8 +95,7 @@ class CodedSymbol:
     def _trusted(cls, indices: tuple[int, ...], payload: bytes | None) -> "CodedSymbol":
         """Build a symbol whose indices the caller guarantees are valid (no check).
 
-        ``Encoder.next_symbol`` draws valid indices and ``_FramedLink.receive``
-        gets them from ``decode_frame``, which has checked them.
+        Its one caller, ``Encoder.next_symbol``, draws valid indices.
         """
         sym = object.__new__(cls)
         attrs = sym.__dict__
@@ -257,6 +256,10 @@ class DecodeGraph:
 
     def classify(self, sym: CodedSymbol) -> Classification:
         """Reduce a symbol against recovered values; the graph is not modified.
+
+        ``sym`` is any object with strictly increasing ``indices`` and a
+        ``payload``: a ``CodedSymbol``, or the framed link's decoded
+        ``DataFrame``.
 
         Only CASE1 and CASE2 carry a residual, so only they XOR out the
         recovered constituents, in index order, in one loop of ``xor_bytes``

@@ -491,7 +491,11 @@ class Receiver:
         return FeedbackMsg(kind, self.graph.recovered_count)
 
     def receive(self, sym: CodedSymbol, seq: int | None = None) -> FeedbackMsg | None:
-        """Process one delivered symbol; returns the feedback to send, if any."""
+        """Process one delivered symbol; returns the feedback to send, if any.
+
+        ``sym`` is any object with strictly increasing ``indices`` and a
+        ``payload``, such as the ``DataFrame`` the framed link decodes.
+        """
         graph = self.graph
         cls, newly = graph.process(sym)
         # Only the symbol that recovers the last node completes the graph, and

@@ -25,14 +25,16 @@ a receiver fed without it reads the pass end from the symbol instead.
 
 :func:`transfer` runs the simulator's session loop over a framed link: each
 data symbol is encoded into a frame before the erasure channel decides its
-delivery, each delivered frame is decoded back into a symbol, and each
-feedback message makes the round trip through a feedback frame.  Feedback
-frames and the session header travel on the control path, which is lossless
-per the channel model.  The link checks every frame it decodes, the header
-included: a frame of another type raises ``malformed-frame`` and one from
-another session ``wrong-session``.  The recovered blocks are checked against
-the input before any bytes are returned, so a transfer either returns the
-exact input or raises.
+delivery, and the :class:`DataFrame` decoded from each delivered frame is
+the symbol the receiver processes (it reads only ``indices`` and
+``payload``).  Each feedback message makes the round trip through a feedback
+frame, and the decoded :class:`FeedbackFrame` is what the encoder reads
+(``kind`` and ``recovered``).  Feedback frames and the session header travel
+on the control path, which is lossless per the channel model.  The link
+checks every frame it decodes, the header included: a frame of another type
+raises ``malformed-frame`` and one from another session ``wrong-session``.
+The recovered blocks are checked against the input before any bytes are
+returned, so a transfer either returns the exact input or raises.
 """
 
 from __future__ import annotations
@@ -128,7 +130,6 @@ _DATA = struct.Struct(_START.format + "QQH")            # session_id seq_no degr
 _FEEDBACK = struct.Struct(_START.format + "QBI")        # session_id fb_kind recovered
 _HEADER = struct.Struct(_START.format + "QIHQ")         # session_id k symbol_size original_len
 _CRC = struct.Struct(">I")
-_new = object.__new__
 
 
 def _seal(head: bytes, payload: bytes) -> bytes:
@@ -193,15 +194,7 @@ def decode_frame(buf: bytes) -> DataFrame | FeedbackFrame | SessionHeader:
         indices = struct.unpack_from(f">{degree}I", buf, _DATA.size)
         if degree < 1 or not all(map(operator.lt, indices, indices[1:])):
             raise FrameError("malformed-frame", "indices not strictly increasing")
-        # Built like CodedSymbol._trusted: every field is checked above, so
-        # the frozen __init__ and its four object.__setattr__ calls are skipped.
-        frame = _new(DataFrame)
-        attrs = frame.__dict__
-        attrs["session_id"] = session_id
-        attrs["seq_no"] = seq_no
-        attrs["indices"] = indices
-        attrs["payload"] = buf[total:end]
-        return frame
+        return DataFrame(session_id, seq_no, indices, buf[total:end])
     if ftype == TYPE_FEEDBACK:
         _sealed(buf, _FEEDBACK.size)
         _, _, _, session_id, kind, recovered = _FEEDBACK.unpack_from(buf)
@@ -238,13 +231,12 @@ class _FramedLink:
             raise FrameError("wrong-session", f"{frame.session_id} != {self.session_id}")
         return frame
 
-    def receive(self, frame: bytes) -> tuple[CodedSymbol, int]:
+    def receive(self, frame: bytes) -> tuple[DataFrame, int]:
         parsed = self._decode(frame, DataFrame)
-        return CodedSymbol._trusted(parsed.indices, parsed.payload), parsed.seq_no
+        return parsed, parsed.seq_no
 
-    def feedback(self, msg: FeedbackMsg) -> FeedbackMsg:
-        fb = self._decode(encode_feedback(msg, self.session_id), FeedbackFrame)
-        return FeedbackMsg(fb.kind, fb.recovered)
+    def feedback(self, msg: FeedbackMsg) -> FeedbackFrame:
+        return self._decode(encode_feedback(msg, self.session_id), FeedbackFrame)
 
 
 @dataclass

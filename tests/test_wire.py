@@ -208,6 +208,52 @@ def test_decode_totality_fuzz():
             pass
 
 
+def test_crc_valid_mutation_fuzz_decodes_or_raises_frame_error():
+    # test_decode_totality_fuzz keeps the old CRC, so most of its cases stop
+    # at crc-mismatch; here every mutated frame is resealed with a valid CRC.
+    import struct
+    import zlib
+
+    from fountain_lab.graph import MalformedSymbol
+    from fountain_lab.schemes import Receiver
+
+    session = 3
+    bodies = [
+        buf[:-4] for buf in (
+            encode_data(CodedSymbol((2, 7), bytes(range(8))), session, 4),
+            encode_feedback(FeedbackMsg(FeedbackKind.BETA_UPDATE, 5), session),
+            encode_header(SessionHeader(session, 10, 8, 80)),
+        )
+    ]
+    rng = random.Random(34)
+    link = _FramedLink(session)
+    decoded = dict.fromkeys((DataFrame, FeedbackFrame, SessionHeader), 0)
+    processed = 0
+    for _ in range(20_000):
+        body = bytearray(rng.choice(bodies))
+        op = rng.randrange(3)
+        if op == 0:
+            body[rng.randrange(len(body))] = rng.randrange(256)
+        elif op == 1:
+            del body[rng.randrange(len(body)):]
+        else:
+            body += rng.randbytes(rng.randint(1, 8))
+        buf = bytes(body) + struct.pack(">I", zlib.crc32(body))
+        try:
+            decoded[type(decode_frame(buf))] += 1
+            sym, seq = link.receive(buf)
+        except FrameError:
+            continue
+        try:
+            Receiver(10, SOFC()).receive(sym, seq)
+        except MalformedSymbol:
+            continue
+        processed += 1
+    # every frame type decodes in some cases, and the receiver takes some frames
+    assert min(decoded.values()) > 0
+    assert processed > 0
+
+
 def test_transfer_lossless_systematic():
     data = random.Random(1).randbytes(64 * 1024)
     out, report = transfer(data, SOFC(), 0.0, seed=2, symbol_size=1024)

@@ -268,9 +268,10 @@ class DecodeGraph:
         ``_REDUCE_XOR_BYTES`` at a time, and gives the same bytes; an empty
         payload or a value of another length or None stays on the loop,
         which raises its error.  A value-tracking graph raises
-        MalformedSymbol for such a symbol without a payload, and for one with
-        no recovered constituent whose payload length is not that of the
-        first payload the graph stored.
+        MalformedSymbol, before any XOR or state change, for a CASE1 or CASE2
+        symbol that has no payload or whose payload length is not that of
+        the first payload the graph stored; only its own values reach the
+        loop with another length.
         """
         indices = sym.indices
         k = self.k
@@ -290,11 +291,11 @@ class DecodeGraph:
         if self.track_values:
             if residual is None:
                 raise MalformedSymbol(f"symbol over unknown nodes {unknown} brings no payload")
-            if n == len(indices):   # no XOR checks the payload's length
-                size = self._payload_len
-                if size is not None and len(residual) != size:
-                    raise MalformedSymbol(f"payload length {len(residual)}, not the stored {size}")
-            else:
+            size = self._payload_len
+            if size is not None and len(residual) != size:
+                raise MalformedSymbol(f"payload length {len(residual)}, not the stored {size}" if n == len(indices)
+                                      else f"payload length mismatch: {len(residual)} vs {size}")
+            if n != len(indices):
                 values = self.values
                 size = len(residual)
                 known: list = []

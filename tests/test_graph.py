@@ -468,6 +468,44 @@ def test_classify_xor_calls_per_constituent_below_the_cutoff_none_from_it(monkey
                 assert len(calls) == want
 
 
+@pytest.mark.parametrize("size", [16, 1024])
+@pytest.mark.parametrize("recovered", [1, graph._REDUCE_XOR_MIN - 1, graph._REDUCE_XOR_MIN])
+@pytest.mark.parametrize("unknowns", [1, 2])
+def test_wrong_length_payload_with_recovered_constituents_is_malformed_before_any_xor(
+        monkeypatch, size, recovered, unknowns):
+    g, s = _reduction_case(40, size, recovered, unknowns, seed=size + recovered)
+    twin, twin_s = _reduction_case(40, size, recovered, unknowns, seed=size + recovered)
+    assert twin_s == s and sum(g.color[i] for i in s.indices) == recovered
+    xors, reduce = [], graph._xor_reduce
+
+    def counting_xor(a, b):
+        xors.append(1)
+        return xor_bytes(a, b)
+
+    def counting_reduce(*args, **kwargs):
+        xors.append(1)
+        return reduce(*args, **kwargs)
+
+    monkeypatch.setattr(graph, "xor_bytes", counting_xor)
+    monkeypatch.setattr(graph, "_xor_reduce", counting_reduce)
+
+    def state(x):
+        return (bytes(x.color), list(x.values), [list(a) for a in x.adj], list(x._size),
+                x.recovered_count, x._payload_len)
+
+    before = state(g)
+    for length in (0, size - 1, size + 1, 2 * size):
+        with pytest.raises(ValueError) as info:
+            g.process(CodedSymbol(s.indices, bytes(length)))
+        assert type(info.value) is MalformedSymbol
+        assert str(info.value) == f"payload length mismatch: {length} vs {size}"
+        assert state(g) == before
+    assert xors == []
+    # the next valid symbol decodes as on a graph that never saw the bad ones
+    assert g.process(s) == twin.process(s)
+    assert state(g) == state(twin)
+
+
 def test_source_block_validation():
     with pytest.raises(ValueError, match="need k >= 2 source symbols, got 1"):
         SourceBlock(1, (b"a",))

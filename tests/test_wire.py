@@ -254,6 +254,30 @@ def test_crc_valid_mutation_fuzz_decodes_or_raises_frame_error():
     assert processed > 0
 
 
+def test_receiver_kept_across_frames_rejects_a_one_byte_longer_payload_as_malformed():
+    from fountain_lab.graph import MalformedSymbol
+    from fountain_lab.schemes import Receiver
+
+    session = 3
+    link = _FramedLink(session)
+    rx = Receiver(10, SOFC())
+    stored = bytes(range(8))
+    assert rx.receive(*link.receive(encode_data(CodedSymbol((2,), stored), session, 0))) is None
+    assert rx.graph.values[2] == stored
+    # with a recovered constituent, over one unknown node, over two
+    for indices, message in (((2, 7), "payload length mismatch: 9 vs 8"),
+                             ((7,), "payload length 9, not the stored 8"),
+                             ((5, 7), "payload length 9, not the stored 8")):
+        frame = encode_data(CodedSymbol(indices, stored + b"\x00"), session, 1)
+        with pytest.raises(ValueError) as info:
+            rx.receive(*link.receive(frame))
+        assert type(info.value) is MalformedSymbol and str(info.value) == message
+    assert rx.graph.recovered_count == 1 and not any(rx.graph.adj)
+    # the receiver takes the next valid frame
+    rx.receive(*link.receive(encode_data(CodedSymbol((2, 7), bytes(8)), session, 2)))
+    assert rx.graph.values[7] == stored
+
+
 def test_transfer_lossless_systematic():
     data = random.Random(1).randbytes(64 * 1024)
     out, report = transfer(data, SOFC(), 0.0, seed=2, symbol_size=1024)

@@ -10,13 +10,14 @@ they get there:
 * ``OFCNB`` -- random degree-1 symbols until a fraction ``gamma0`` is
   recovered, then completion immediately (no component build-up stage).
 * ``SOFC``  -- every source symbol is sent exactly once, in index order,
-  then completion.
+  then completion, on the ``BETA_UPDATE`` that ends the pass; if none has
+  come back when the pass ends, the encoder acts on one it has not received.
 
 The receiver drives all phase changes through feedback messages, and both
-sides read the one table of phase changes, ``_TRANSITIONS``, through
-:func:`_next_phase`.  Zero feedback latency and a lossless feedback channel
-are assumed; a configurable delay exists in the session driver for
-experimentation.
+ends apply one step to each, :func:`_step`, which reads the one table of
+phase changes, ``_TRANSITIONS``.  Zero feedback latency and a lossless
+feedback channel are assumed; a configurable delay exists in the session
+driver for experimentation.
 """
 
 from __future__ import annotations
@@ -91,8 +92,7 @@ class FeedbackMsg:
 
 # The protocol: (scheme, phase, message) -> next phase.  For every scheme,
 # COMPLETE also ends any phase and BETA_UPDATE keeps COMPLETION in
-# COMPLETION; any other message is a ProtocolError.  SOFC's encoder enters
-# COMPLETION by itself when its index pass ends with no feedback seen.
+# COMPLETION; any other message is a ProtocolError.
 _TRANSITIONS: dict[tuple[type, Phase, FeedbackKind], Phase] = {
     (OFC, Phase.BUILD_UP, FeedbackKind.LARGEST_COMPONENT_REACHED): Phase.DEGREE1_SEEDING,
     (OFC, Phase.DEGREE1_SEEDING, FeedbackKind.COMPONENT_BLACK): Phase.COMPLETION,
@@ -111,18 +111,26 @@ _START: dict[type, tuple[Phase, int]] = {
 _SYSTEMATIC, _COMPLETION, _DONE = Phase.SYSTEMATIC, Phase.COMPLETION, Phase.DONE
 
 
-def _next_phase(config: SchemeConfig, phase: Phase, kind: FeedbackKind) -> Phase:
-    """The phase after a ``kind`` message in ``phase``; ProtocolError if none."""
-    if phase is Phase.DONE:
+def _step(config: SchemeConfig, phase: Phase, m: int, kind: FeedbackKind, n: int, k: int) -> tuple[Phase, int]:
+    """The encoder's ``(phase, m)`` after a ``kind`` message reporting ``n`` of
+    ``k`` recovered: degree 1 on entering seeding, the optimal degree at
+    ``n / k`` in completion.  ProtocolError, before any change, if ``phase``
+    takes no ``kind`` or ``n`` is out of range."""
+    if phase is _DONE:
         raise ProtocolError("feedback after session completion")
     if kind is FeedbackKind.COMPLETE:
-        return Phase.DONE
-    if kind is FeedbackKind.BETA_UPDATE and phase is Phase.COMPLETION:
-        return phase
-    nxt = _TRANSITIONS.get((type(config), phase, kind))
-    if nxt is None:
+        nxt = _DONE
+    elif kind is FeedbackKind.BETA_UPDATE and phase is _COMPLETION:
+        nxt = phase
+    elif (nxt := _TRANSITIONS.get((type(config), phase, kind))) is None:
         raise ProtocolError(f"unexpected {kind.name} in phase {phase.name}")
-    return nxt
+    # Only COMPLETE may report every node recovered.
+    most = k if nxt is _DONE else k - 1
+    if not 0 <= n <= most:
+        raise ProtocolError(f"recovered {n} outside 0..{most} in {kind.name}")
+    if nxt is _COMPLETION:
+        return nxt, optimal_degree(n / k, k)
+    return nxt, 1 if nxt is Phase.DEGREE1_SEEDING else m
 
 
 def degree_update_due(m_current: int, beta: float, k: int, policy: FeedbackPolicy) -> bool:
@@ -339,10 +347,6 @@ class Encoder:
         self._sent_in_phase = 0
 
     @property
-    def known_beta(self) -> float:
-        return self.known_recovered / self.k
-
-    @property
     def phase_sent(self) -> dict[str, int]:
         """Symbols sent per phase, keyed by ``Phase.value`` in the order the
         phases first sent; a phase that sent nothing has no key."""
@@ -422,35 +426,27 @@ class Encoder:
             if phase is _DONE:
                 raise ProtocolError("session already complete")
             if phase is _SYSTEMATIC:
-                # All indexes sent and no feedback seen yet (tail frames
-                # erased): go on to completion with the stale recovery estimate.
-                self._enter(_COMPLETION)
-                self.current_m = optimal_degree(self.known_beta, self.k)
+                # All indexes sent and no feedback seen yet (tail frames erased
+                # or answer delayed): act on the pass's closing BETA_UPDATE with
+                # the stale recovery estimate.
+                self.on_feedback(FeedbackMsg(FeedbackKind.BETA_UPDATE, self.known_recovered))
             indices = self._sample(self.current_m)
         self._sent_in_phase += 1
         return CodedSymbol._trusted(indices, self.source.encode(indices) if self._carries_payloads else None)
 
     def on_feedback(self, msg: FeedbackMsg) -> None:
-        phase = _next_phase(self.config, self.phase, msg.kind)
-        # Only COMPLETE may report every node recovered.
-        most = self.k if phase is Phase.DONE else self.k - 1
-        if not 0 <= msg.recovered <= most:
-            raise ProtocolError(f"recovered {msg.recovered} outside 0..{most} in {msg.kind.name}")
+        phase, self.current_m = _step(self.config, self.phase, self.current_m, msg.kind, msg.recovered, self.k)
         self._enter(phase)
-        if phase is Phase.DEGREE1_SEEDING:
-            # OFC's build-up is over; seeding needs no recovery estimate.
-            self.current_m = 1
-            return
-        self.known_recovered = msg.recovered
-        if phase is Phase.COMPLETION:
-            self.current_m = optimal_degree(self.known_beta, self.k)
+        # OFC's build-up is over; seeding needs no recovery estimate.
+        if phase is not Phase.DEGREE1_SEEDING:
+            self.known_recovered = msg.recovered
 
 
 class Receiver:
     """Decoder plus feedback generator.
 
-    Mirrors the encoder's phase, advancing it by the same protocol table
-    (``_TRANSITIONS``), so it knows which event to watch for: component-size
+    Mirrors the encoder's phase and degree, advancing them by the same step
+    (:func:`_step`), so it knows which event to watch for: component-size
     threshold and component-black for OFC, the recovered-count threshold for
     OFCNB, and end of the systematic pass for SOFC (detected from the
     delivered sequence number ``seq``, so it works identically over the
@@ -484,11 +480,10 @@ class Receiver:
 
     def _send(self, kind: FeedbackKind) -> FeedbackMsg:
         """Advance the mirror as the encoder will on ``kind``; returns the message."""
-        self._mirror = _next_phase(self.config, self._mirror, kind)
-        if self._mirror is Phase.COMPLETION:
-            self._encoder_m = optimal_degree(self.graph.beta(), self.k)
+        n = self.graph.recovered_count
+        self._mirror, self._encoder_m = _step(self.config, self._mirror, self._encoder_m, kind, n, self.k)
         self.feedback_sent += 1
-        return FeedbackMsg(kind, self.graph.recovered_count)
+        return FeedbackMsg(kind, n)
 
     def receive(self, sym: CodedSymbol, seq: int | None = None) -> FeedbackMsg | None:
         """Process one delivered symbol; returns the feedback to send, if any.

@@ -622,3 +622,44 @@ def test_sofc_session_without_seq_matches_the_session_with_it(k, eps, seed):
     assert _sofc_hand_session(k, eps, seed, with_seq=False) == (sent, msgs)
     result = run_session(SOFC(), k, eps, seed=seed)
     assert (sent, len(msgs)) == (result.sent_total, result.feedback_total)
+
+
+@pytest.mark.parametrize("config", [OFC(), OFCNB(0.01), OFCNB(0.3), SOFC()], ids=["ofc", "ofcnb-0.01", "ofcnb-0.3", "sofc"])
+def test_receiver_mirror_equals_the_encoder_state_after_each_message(monkeypatch, config):
+    # The receiver picks its next message from the (phase, degree) it
+    # mirrors, so after each message it sends, the encoder that applies that
+    # message must hold the same pair.  SOFC's encoder enters completion at
+    # the end of an unanswered index pass by applying a BETA_UPDATE of its
+    # own through on_feedback; that message has no mirror entry and is
+    # counted apart.
+    mirrored, applied, produced = [], [], {}
+    self_sent = 0
+    send, on_feedback = Receiver._send, Encoder.on_feedback
+
+    def spy_send(rcv, kind):
+        msg = send(rcv, kind)
+        produced[id(msg)] = msg   # kept alive, so its id stays unique
+        mirrored.append((rcv._mirror, rcv._encoder_m))
+        return msg
+
+    def spy_on_feedback(enc, msg):
+        nonlocal self_sent
+        on_feedback(enc, msg)
+        if produced.get(id(msg)) is msg:
+            applied.append((enc.phase, enc.current_m))
+        else:
+            self_sent += 1
+
+    monkeypatch.setattr(Receiver, "_send", spy_send)
+    monkeypatch.setattr(Encoder, "on_feedback", spy_on_feedback)
+    for policy in (EveryDegreeChange(), Threshold()):
+        for delay in (0, 3):
+            for seed in range(8):
+                mirrored.clear()
+                applied.clear()
+                r = run_session(config, 300, 0.1, policy, seed=seed, feedback_delay=delay)
+                assert not r.budget_exceeded
+                assert applied == mirrored, (policy, delay, seed)
+    # the sessions cover SOFC's self-entry: a lost last systematic slot or a
+    # delayed answer leaves the pass unanswered
+    assert (self_sent > 0) == isinstance(config, SOFC)

@@ -577,6 +577,32 @@ def _check_layer_calls(calls, data_sent, delivered):
     assert calls["apply_case2"] == calls[Case.CASE2] > 0
 
 
+@pytest.mark.parametrize("payload_mode", ["counting", "full"])
+@pytest.mark.parametrize("config", [OFC(), OFCNB(0.01), OFCNB(0.3), SOFC()], ids=["ofc", "ofcnb-0.01", "ofcnb-0.3", "sofc"])
+def test_every_node_is_recovered_by_one_case1_or_case2_symbol(monkeypatch, config, payload_mode):
+    # Each node of a complete session was recovered by one CASE1 symbol or
+    # by peeling one stored CASE2 edge, so CASE1 + CASE2 = k, and every
+    # received symbol is classified once into one of the five cases.
+    k = 200
+    cases = dict.fromkeys(Case, 0)
+    classify = DecodeGraph.classify
+
+    def counted(graph, sym):
+        cls = classify(graph, sym)
+        cases[cls.case] += 1
+        return cls
+
+    monkeypatch.setattr(DecodeGraph, "classify", counted)
+    for policy in (EveryDegreeChange(), Threshold()):
+        for eps in (0.0, 0.1, 0.4):
+            for seed in range(3):
+                cases.update(dict.fromkeys(Case, 0))
+                r = run_session(config, k, eps, policy, seed=seed, payload_mode=payload_mode)
+                assert not r.budget_exceeded
+                assert cases[Case.CASE1] + cases[Case.CASE2] == k, (policy, eps, seed)
+                assert sum(cases.values()) == r.received_total, (policy, eps, seed)
+
+
 @pytest.mark.parametrize("config", [OFC(), OFCNB(0.01), SOFC()], ids=["ofc", "ofcnb", "sofc"])
 def test_every_layer_runs_once_per_symbol(monkeypatch, config):
     # perfbench splits a session's time by wrapping these methods, so each

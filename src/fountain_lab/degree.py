@@ -5,7 +5,8 @@ A coded symbol is the XOR of ``m`` distinct source symbols.  With a fraction
 immediately decodable when all but one of its constituents are known
 (case 1), and turns into a pending pairwise relation when exactly two are
 unknown (case 2).  Everything else is dead weight.  The encoder therefore
-picks the degree maximizing the probability of landing in case 1 or case 2.
+picks the degree maximizing the probability of landing in case 1 or case 2;
+sessions and the completion table read it from one table of its runs per k.
 
 The closed forms below treat index selection as m independent draws, which
 is accurate for large k; :func:`exact_case_probs` gives the exact
@@ -16,6 +17,8 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_right
+from functools import lru_cache
 
 __all__ = [
     "case1_prob",
@@ -90,18 +93,13 @@ def _degree_at(n: int, k: int) -> int:
     return optimal_degree(n / k, k)
 
 
-def _completion_table(k: int) -> tuple[list[int], list[float]]:
-    """``optimal_degree(n / k, k)`` and ``completion_prob(n, k)`` for n = 0..k-1 (k >= 2).
+def _degree_runs(k: int):
+    """Yield (first n, end, degree) for each run of equal ``optimal_degree(n / k, k)``
+    over n = 0..k-1: 73 runs at k = 1000, 150 at 4096 and 750 at 1e5.
 
-    The degree column is built run by run: from a run's first n,
-    :func:`_degree_at` gallops, then bisects, to the first n of another
-    degree, so a table costs O(runs * log k) square roots, not k (the degree
-    is 2 for every n below k/2 and takes about 750 values at k = 1e5).  Each
-    run's probabilities then repeat :func:`useful_prob`'s expression term for
-    term with its degree's constants hoisted (``**`` is the C ``pow`` in both),
-    so every degree and probability is bit-equal to the scalar forms.
-
-    The run search needs the degree to never decrease in n, which holds:
+    From a run's first n, :func:`_degree_at` gallops, then bisects, to the
+    first n of another degree, so the runs cost O(runs * log k) square roots,
+    not k.  The search needs the degree to never decrease in n, which holds:
 
     * the exact root rises strictly in beta, and float noise in it is about
       1e-15 relative, far below :func:`optimal_degree`'s 1e-6 tie window, so
@@ -115,11 +113,8 @@ def _completion_table(k: int) -> tuple[list[int], list[float]]:
       beta = 0, where every n gets degree 2, and for k above about 5e6 at
       the first step, beta = 1/2, where d root/dn is 5.3/k).
     """
-    degrees = []
-    probs = []
-    append = probs.append
     a = 0
-    m = _degree_at(0, k)
+    m = d = _degree_at(0, k)
     while a < k:
         # _degree_at(lo) == m; hi is k or the first n found of another degree
         lo, step = a, 1
@@ -139,6 +134,31 @@ def _completion_table(k: int) -> tuple[list[int], list[float]]:
                 lo = mid
             else:
                 hi, d = mid, d_mid
+        yield a, hi, m
+        a, m = hi, d
+
+
+@lru_cache(maxsize=1)
+def _cached_runs(k: int, rule) -> tuple[tuple[int, ...], ...]:
+    """The runs' firsts, ends and degrees, for the latest k and ``rule``, the
+    ``optimal_degree`` in force: a patched rule is not served stale runs."""
+    return tuple(zip(*_degree_runs(k)))
+
+
+def _table_degree(n: int, k: int) -> int:
+    """``optimal_degree(n / k, k)`` for 0 <= n < k, read from the runs of k."""
+    starts, _, degrees = _cached_runs(k, optimal_degree)
+    return degrees[bisect_right(starts, n) - 1]
+
+
+def _completion_table(k: int) -> tuple[list[int], list[float]]:
+    """``optimal_degree(n / k, k)`` and ``completion_prob(n, k)`` for n = 0..k-1 (k >= 2),
+    bit-equal: each run repeats :func:`useful_prob` term for term with its
+    degree's constants hoisted (``**`` is the C ``pow`` in both)."""
+    degrees = []
+    probs = []
+    append = probs.append
+    for a, hi, m in _degree_runs(k):
         degrees += [m] * (hi - a)
         # useful_prob(m, beta) = case1_prob + case2_prob
         e1 = m - 1
@@ -148,7 +168,6 @@ def _completion_table(k: int) -> tuple[list[int], list[float]]:
             beta = n / k
             x = 1.0 - beta
             append(m * beta ** e1 * x + c * beta ** e2 * x ** 2)
-        a, m = hi, d
     return degrees, probs
 
 

@@ -1,8 +1,8 @@
 """Encoder and receiver state machines for the three feedback-driven schemes.
 
-Three encoders share one completion phase (degree-adaptive symbols at the
-optimal degree for the last fed-back recovery fraction) and differ in how
-they get there:
+Three encoders share one completion phase (symbols at the degree that one
+run table per k gives for the last fed-back recovered count) and differ in
+how they get there:
 
 * ``OFC``   -- degree-2 symbols grow one large component to a fraction
   ``beta0`` of the nodes, then degree-1 symbols until that component turns
@@ -41,7 +41,7 @@ from .config import (
     Threshold,
     scheme_name,
 )
-from .degree import optimal_degree, useful_prob
+from .degree import _table_degree, optimal_degree, useful_prob
 from .graph import Case, CodedSymbol, DecodeGraph, SourceBlock
 
 __all__ = [
@@ -129,7 +129,7 @@ def _step(config: SchemeConfig, phase: Phase, m: int, kind: FeedbackKind, n: int
     if not 0 <= n <= most:
         raise ProtocolError(f"recovered {n} outside 0..{most} in {kind.name}")
     if nxt is _COMPLETION:
-        return nxt, optimal_degree(n / k, k)
+        return nxt, _table_degree(n, k)
     return nxt, 1 if nxt is Phase.DEGREE1_SEEDING else m
 
 
@@ -140,7 +140,10 @@ def degree_update_due(m_current: int, beta: float, k: int, policy: FeedbackPolic
     optimal degree beats the degree the encoder is still using by more than
     ``delta_p`` in usable probability, both evaluated at the current beta.
     """
-    m_new = optimal_degree(beta, k)
+    return _update_due(m_current, optimal_degree(beta, k), beta, policy)
+
+
+def _update_due(m_current: int, m_new: int, beta: float, policy: FeedbackPolicy) -> bool:
     if m_new == m_current:
         return False
     if isinstance(policy, EveryDegreeChange):
@@ -501,8 +504,8 @@ class Receiver:
         if mirror is _COMPLETION:
             # beta only moves on a recovery; at an unchanged beta the encoder's
             # degree was already synced or found not due.
-            if newly and degree_update_due(
-                    self._encoder_m, graph.recovered_count / self.k, self.k, self.policy):
+            n = graph.recovered_count
+            if newly and _update_due(self._encoder_m, _table_degree(n, self.k), n / self.k, self.policy):
                 return self._send(FeedbackKind.BETA_UPDATE)
             return None
         if mirror is Phase.BUILD_UP:

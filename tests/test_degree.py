@@ -201,3 +201,14 @@ def test_table_costs_a_degree_per_run_not_per_n(monkeypatch):
     degree._completion_table(100_000)
     # about 750 runs, each found by galloping and bisecting
     assert 0 < len(calls) <= 10_000
+
+
+def test_degree_table_lookup_matches_optimal_degree():
+    # sessions read their degree from the runs of one k; 25_200 puts n / k on
+    # the exact ties at 1/2, 6/7 and 35/36
+    for k in [2, 3, 21, 22, 1000, 1024, 4096, 100_000, 25_200]:
+        assert [degree._table_degree(n, k) for n in range(k)] == [optimal_degree(n / k, k) for n in range(k)], k
+    # the runs are kept for one k at a time, so alternating k rebuilds them
+    for n in range(1000):
+        for k in (1000, 1024):
+            assert degree._table_degree(n, k) == optimal_degree(n / k, k), (n, k)

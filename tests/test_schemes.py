@@ -270,6 +270,17 @@ def test_threshold_never_fires_more_than_every_change():
             assert degree_update_due(prev_m, beta, 1000, every)
 
 
+@pytest.mark.parametrize("policy", [EveryDegreeChange(), Threshold(), Threshold(0.001)], ids=repr)
+def test_receiver_rule_on_table_degree_matches_degree_update_due(policy):
+    # the receiver applies the rule to the table's degree at n; the
+    # closed-form entry computes the degree at beta = n / k
+    k = 1000
+    for n in range(k // 2, k):
+        m_new = schemes._table_degree(n, k)
+        for m in range(max(1, m_new - 3), m_new + 4):
+            assert schemes._update_due(m, m_new, n / k, policy) == degree_update_due(m, n / k, k, policy), (n, m)
+
+
 def test_receiver_ofc_event_sequence():
     # tiny deterministic walk: k=4, threshold at 2
     rcv = Receiver(4, OFC(beta0=0.5), track_values=False)

@@ -321,6 +321,8 @@ class DecodeGraph:
         Returns every newly recovered (node, value) pair; traversed edges are
         removed so edges never touch a black node.  A counting graph
         (``track_values=False``) peels through the same loop with None values.
+        A node with no stored edge (the SOFC pass, OFCNB seeding, most
+        completion CASE1s) takes a short path that builds no stack.
         """
         color, adj, values = self.color, self.adj, self.values
         if color[target]:
@@ -329,8 +331,12 @@ class DecodeGraph:
             value = None
         elif self._payload_len is None and value is not None:
             self._payload_len = len(value)
-        newly: list[tuple[int, bytes | None]] = []
         color[target] = 1
+        if not adj[target]:
+            values[target] = value
+            self.recovered_count += 1
+            return [(target, value)]
+        newly: list[tuple[int, bytes | None]] = []
         stack = [(target, value)]
         while stack:
             node, val = stack.pop()

@@ -341,6 +341,9 @@ class Encoder:
         # A block of empty payloads is counting mode: symbols carry no bytes.
         self._carries_payloads = source.symbol_size > 0
         self.rng = random.Random(encoder_seed(seed, trial_id))
+        # The draw width and the generator's getrandbits, read once for
+        # _sample; self.rng is never rebound, so the method stays bound to it.
+        self._bits, self._getrandbits = self.k.bit_length(), self.rng.getrandbits
         # random.sample's branch depends on (k, m) only: pool from this m on.
         self._pool_from = _first_pool_degree(self.k)
         self.phase, self.current_m = _START[type(config)]
@@ -374,8 +377,10 @@ class Encoder:
         ``random.sample`` gives on CPython 3.10-3.13.  Below CPython's
         set-size cut-off (m below ``_pool_from``, set once per encoder)
         ``random.sample`` keeps redrawing ``getrandbits(k.bit_length())``
-        until a draw is below k and unseen; from it on, it runs Fisher-Yates
-        over a pool of all k values.  Which path runs depends only on (k, m):
+        until a draw is below k and unseen; that draw width and the bound
+        ``getrandbits`` are read once per encoder, in ``__init__``.  From the
+        cut-off on, it runs Fisher-Yates over a pool of all k values.  Which
+        path runs depends only on (k, m):
 
         * set branch, m = 2: two redraw loops, the second also skipping the
           first draw, and one compare to sort the pair;
@@ -398,10 +403,9 @@ class Encoder:
             if m > k:
                 return tuple(sorted(self.rng.sample(range(k), m)))
             if bulk and k >= _BULK_POOL_K:
-                return _bulk_pool_sample(self.rng.getrandbits, k, m)
-            return _pool_sample(self.rng.getrandbits, k, m)
-        getrandbits = self.rng.getrandbits
-        bits = k.bit_length()
+                return _bulk_pool_sample(self._getrandbits, k, m)
+            return _pool_sample(self._getrandbits, k, m)
+        getrandbits, bits = self._getrandbits, self._bits
         if m == 2:
             a = getrandbits(bits)
             while a >= k:

@@ -72,7 +72,8 @@ class TracePoint(NamedTuple):
     """One point of a session trace, at a recovery or a feedback message.
 
     A tuple with a dataclass's ``repr``: it equals, and hashes like, the
-    plain tuple of its fields.
+    plain tuple of its fields.  ``_drive`` builds it positionally, from all
+    four fields, with ``tuple.__new__``.
     """
 
     sent: int
@@ -161,6 +162,7 @@ def _drive(
     graph = rcv.graph
     next_symbol, deliver, receive = enc.next_symbol, chan.deliver, rcv.receive
     link_send, link_receive = link.send, link.receive
+    point = tuple.__new__      # a TracePoint from all four fields in order
     while sent < budget:
         while pending and pending[0][0] <= sent:
             enc.on_feedback(pending.popleft()[1])
@@ -182,11 +184,11 @@ def _drive(
         now = graph.recovered_count
         if now > recovered:
             recovered = now
-            trace.append(TracePoint(sent, received, now))
+            trace.append(point(TracePoint, (sent, received, now, None)))
             if fb_at_08 is None and now >= threshold_08:
                 fb_at_08 = rcv.feedback_sent
         if msg is not None:
-            trace.append(TracePoint(sent, received, now, event=msg.kind.name.lower()))
+            trace.append(point(TracePoint, (sent, received, now, msg.kind.name.lower())))
             pending.append((sent + feedback_delay, link.feedback(msg)))
 
     complete = rcv.complete

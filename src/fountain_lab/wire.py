@@ -126,7 +126,8 @@ class SessionHeader:
 # Each frame type's fixed fields: the common start, then the type's own
 # fields up to its indices (data) or its CRC.
 _START = struct.Struct(">2sBB")                         # magic version type
-_DATA = struct.Struct(_START.format + "QQH")            # session_id seq_no degree
+_DATA_FIELDS = struct.Struct(">QQH")                    # session_id seq_no degree
+_DATA = struct.Struct(_START.format + _DATA_FIELDS.format[1:])   # the start, then those
 _FEEDBACK = struct.Struct(_START.format + "QBI")        # session_id fb_kind recovered
 _HEADER = struct.Struct(_START.format + "QIHQ")         # session_id k symbol_size original_len
 _CRC = struct.Struct(">I")
@@ -161,53 +162,57 @@ def encode_header(header: SessionHeader) -> bytes:
     return _seal(_HEADER.pack(MAGIC, VERSION, TYPE_HEADER, *astuple(header)), b"")
 
 
-def _need(buf: bytes, n: int) -> None:
-    if len(buf) < n:
-        raise FrameError("truncated", f"need {n} bytes, have {len(buf)}")
-
-
-def _sealed(buf: bytes, n: int) -> None:
-    """Check that ``buf`` is exactly ``n`` bytes plus their CRC-32."""
-    end = n + _CRC.size
-    _need(buf, end)
-    if len(buf) != end:
-        raise FrameError("length-mismatch", f"{len(buf)} != {end}")
-    if zlib.crc32(buf[:n]) != _CRC.unpack_from(buf, n)[0]:
-        raise FrameError("crc-mismatch")
-
-
 def decode_frame(buf: bytes) -> DataFrame | FeedbackFrame | SessionHeader:
-    """Parse exactly one frame; anything else raises FrameError with a code."""
-    _need(buf, _START.size)
+    """Parse exactly one frame; anything else raises FrameError with a code.
+
+    The checks run in one pass, in this order: the 4-byte start, magic,
+    version and frame type; a data frame's fixed fields, then its indices
+    and payload length; the sealed length (truncated below it,
+    length-mismatch above it); the CRC-32; then the field checks.
+    """
+    have = len(buf)
+    if have < _START.size:
+        raise FrameError("truncated", f"need {_START.size} bytes, have {have}")
     if buf[:2] != MAGIC:
         raise FrameError("bad-magic", buf[:2].hex())
     version, ftype = buf[2], buf[3]
     if version != VERSION:
         raise FrameError("bad-version", str(version))
     if ftype == TYPE_DATA:
-        _need(buf, _DATA.size)
-        _, _, _, session_id, seq_no, degree = _DATA.unpack_from(buf)
+        if have < _DATA.size:
+            raise FrameError("truncated", f"need {_DATA.size} bytes, have {have}")
+        session_id, seq_no, degree = _DATA_FIELDS.unpack_from(buf, _START.size)
         total = _DATA.size + 4 * degree + 2               # indices, payload_len
-        _need(buf, total)
+        if have < total:
+            raise FrameError("truncated", f"need {total} bytes, have {have}")
         end = total + (buf[total - 2] << 8 | buf[total - 1])
-        _sealed(buf, end)
+    elif ftype == TYPE_FEEDBACK:
+        end = _FEEDBACK.size
+    elif ftype == TYPE_HEADER:
+        end = _HEADER.size
+    else:
+        raise FrameError("bad-frame-type", str(ftype))
+    sealed = end + _CRC.size
+    if have != sealed:
+        if have < sealed:
+            raise FrameError("truncated", f"need {sealed} bytes, have {have}")
+        raise FrameError("length-mismatch", f"{have} != {sealed}")
+    if zlib.crc32(buf[:end]) != _CRC.unpack_from(buf, end)[0]:
+        raise FrameError("crc-mismatch")
+    if ftype == TYPE_DATA:
         indices = struct.unpack_from(f">{degree}I", buf, _DATA.size)
-        if degree < 1 or not all(map(operator.lt, indices, indices[1:])):
+        if degree < 1 or degree > 1 and not all(map(operator.lt, indices, indices[1:])):
             raise FrameError("malformed-frame", "indices not strictly increasing")
         return DataFrame(session_id, seq_no, indices, buf[total:end])
     if ftype == TYPE_FEEDBACK:
-        _sealed(buf, _FEEDBACK.size)
         _, _, _, session_id, kind, recovered = _FEEDBACK.unpack_from(buf)
         if kind >= len(FeedbackKind):
             raise FrameError("malformed-frame", f"feedback kind {kind}")
         return FeedbackFrame(session_id, FeedbackKind(kind), recovered)
-    if ftype == TYPE_HEADER:
-        _sealed(buf, _HEADER.size)
-        _, _, _, session_id, k, symbol_size, original_len = _HEADER.unpack_from(buf)
-        if k < 2 or symbol_size < 1:
-            raise FrameError("malformed-frame", f"k={k}, symbol_size={symbol_size}")
-        return SessionHeader(session_id, k, symbol_size, original_len)
-    raise FrameError("bad-frame-type", str(ftype))
+    _, _, _, session_id, k, symbol_size, original_len = _HEADER.unpack_from(buf)
+    if k < 2 or symbol_size < 1:
+        raise FrameError("malformed-frame", f"k={k}, symbol_size={symbol_size}")
+    return SessionHeader(session_id, k, symbol_size, original_len)
 
 
 # -- file transfer over the framed link -------------------------------------

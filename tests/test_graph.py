@@ -118,6 +118,28 @@ def test_apply_case1_isolated_node():
         g.apply_case1(3, b"\x07")
 
 
+def test_apply_case1_on_an_isolated_node_keeps_the_peels_bookkeeping():
+    # value-tracking: the first CASE1 fixes the payload length
+    g = DecodeGraph(5)
+    assert g.apply_case1(2, b"ab") == [(2, b"ab")]
+    assert g._payload_len == 2
+    assert g.adj[2] == () and g.recovered_count == 1 and g.values[2] == b"ab"
+    with pytest.raises(MalformedSymbol, match="^payload length 3, not the stored 2$"):
+        g.process(CodedSymbol((3, 4), b"abc"))
+    assert g.recovered_count == 1 and not any(g.adj)
+    # counting: the value stored is None, whatever was passed
+    g = DecodeGraph(5, track_values=False)
+    assert g.apply_case1(2, b"ab") == [(2, None)]
+    assert g._payload_len is None and g.values == [None] * 5
+    assert g.adj[2] == () and g.recovered_count == 1
+    # a node whose edges were peeled away is isolated again
+    g = DecodeGraph(5)
+    g.apply_case2(0, 1, b"\x01")
+    g.apply_case1(0, b"\x02")
+    assert g.apply_case1(3, b"\x04") == [(3, b"\x04")]
+    assert g.recovered_count == 3 and all(not g.adj[i] for i in range(5))
+
+
 def test_apply_case1_chain_propagation():
     # chain 1-2-3 with hand-picked one-byte values
     v1, v2, v3 = b"\x10", b"\x5a", b"\xc3"

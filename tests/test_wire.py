@@ -386,6 +386,23 @@ def test_fixed_size_frames_check_length_then_crc(good):
         decode_frame(good + b"\x00")
 
 
+@pytest.mark.parametrize("good, size", [
+    (encode_feedback(FeedbackMsg(FeedbackKind.BETA_UPDATE, 300), 7), 21),   # 4 start, 13 fields, 4 CRC
+    (encode_header(SessionHeader(7, 64, 1024, 65000)), 30),                 # 4 start, 22 fields, 4 CRC
+], ids=["feedback", "header"])
+def test_every_truncation_of_a_fixed_size_frame_names_the_bytes_it_needs(good, size):
+    assert len(good) == size
+    for n in range(len(good)):
+        need = 4 if n < 4 else len(good)     # the start, then the sealed length
+        with pytest.raises(FrameError) as e:
+            decode_frame(good[:n])
+        assert str(e.value) == f"truncated: need {need} bytes, have {n}"
+        assert e.value.code == "truncated"
+    with pytest.raises(FrameError) as e:
+        decode_frame(good + b"\x00")
+    assert str(e.value) == f"length-mismatch: {len(good) + 1} != {len(good)}"
+
+
 def test_crc_valid_feedback_with_unknown_kind_is_malformed():
     import struct
     import zlib

@@ -132,6 +132,21 @@ _FEEDBACK = struct.Struct(_START.format + "QBI")        # session_id fb_kind rec
 _HEADER = struct.Struct(_START.format + "QIHQ")         # session_id k symbol_size original_len
 _CRC = struct.Struct(">I")
 
+# A data frame's variable layouts, compiled per degree on first use: the head
+# through payload_len (encode_data) and the indices (decode_frame).  Degrees
+# reach k, up to 65535, so each dict is cleared when it reaches the cap, as
+# struct's own cache is; a Struct and its format take about 0.4 KB at any degree.
+_LAYOUT_CAP = 256
+_DATA_HEADS: dict[int, struct.Struct] = {}
+_INDICES: dict[int, struct.Struct] = {}
+
+
+def _compile(layouts: dict[int, struct.Struct], fmt: str, degree: int) -> struct.Struct:
+    if len(layouts) >= _LAYOUT_CAP:
+        layouts.clear()
+    layout = layouts[degree] = struct.Struct(fmt.format(degree))
+    return layout
+
 
 def _seal(head: bytes, payload: bytes) -> bytes:
     return b"".join((head, payload, _CRC.pack(zlib.crc32(payload, zlib.crc32(head)))))
@@ -147,10 +162,11 @@ def encode_data(sym: CodedSymbol, session_id: int, seq_no: int) -> bytes:
     degree = len(indices)
     if degree > 0xFFFF:
         raise ValueError("degree too large for the 2-byte degree field")
-    head = struct.pack(
-        f"{_DATA.format}{degree}IH",        # the fixed fields, the indices, payload_len
-        MAGIC, VERSION, TYPE_DATA, session_id, seq_no, degree, *indices, payload_len,
-    )
+    try:
+        layout = _DATA_HEADS[degree]
+    except KeyError:                        # the fixed fields, the indices, payload_len
+        layout = _compile(_DATA_HEADS, _DATA.format + "{}IH", degree)
+    head = layout.pack(MAGIC, VERSION, TYPE_DATA, session_id, seq_no, degree, *indices, payload_len)
     return _seal(head, payload)
 
 
@@ -200,10 +216,22 @@ def decode_frame(buf: bytes) -> DataFrame | FeedbackFrame | SessionHeader:
     if zlib.crc32(buf[:end]) != _CRC.unpack_from(buf, end)[0]:
         raise FrameError("crc-mismatch")
     if ftype == TYPE_DATA:
-        indices = struct.unpack_from(f">{degree}I", buf, _DATA.size)
+        try:
+            layout = _INDICES[degree]
+        except KeyError:
+            layout = _compile(_INDICES, ">{}I", degree)
+        indices = layout.unpack_from(buf, _DATA.size)
         if degree < 1 or degree > 1 and not all(map(operator.lt, indices, indices[1:])):
             raise FrameError("malformed-frame", "indices not strictly increasing")
-        return DataFrame(session_id, seq_no, indices, buf[total:end])
+        # every field is checked: build the frame as DataFrame(...) would,
+        # without the four object.__setattr__ calls of its frozen __init__
+        frame = object.__new__(DataFrame)
+        attrs = frame.__dict__
+        attrs["session_id"] = session_id
+        attrs["seq_no"] = seq_no
+        attrs["indices"] = indices
+        attrs["payload"] = buf[total:end]
+        return frame
     if ftype == TYPE_FEEDBACK:
         _, _, _, session_id, kind, recovered = _FEEDBACK.unpack_from(buf)
         if kind >= len(FeedbackKind):
@@ -227,8 +255,7 @@ class _FramedLink:
     def send(self, sym: CodedSymbol, slot: int) -> bytes:
         return encode_data(sym, self.session_id, slot)
 
-    def _decode(self, buf: bytes, frame_type):
-        frame = decode_frame(buf)
+    def _check(self, frame, frame_type):
         if not isinstance(frame, frame_type):
             got = type(frame).__name__
             raise FrameError("malformed-frame", f"expected {frame_type.__name__}, got {got}")
@@ -236,9 +263,14 @@ class _FramedLink:
             raise FrameError("wrong-session", f"{frame.session_id} != {self.session_id}")
         return frame
 
-    def receive(self, frame: bytes) -> tuple[DataFrame, int]:
-        parsed = self._decode(frame, DataFrame)
-        return parsed, parsed.seq_no
+    def _decode(self, buf: bytes, frame_type):
+        return self._check(decode_frame(buf), frame_type)
+
+    def receive(self, buf: bytes) -> tuple[DataFrame, int]:
+        frame = decode_frame(buf)
+        if type(frame) is not DataFrame or frame.session_id != self.session_id:
+            self._check(frame, DataFrame)               # raises with the code and message
+        return frame, frame.seq_no
 
     def feedback(self, msg: FeedbackMsg) -> FeedbackFrame:
         return self._decode(encode_feedback(msg, self.session_id), FeedbackFrame)

@@ -559,3 +559,72 @@ def test_transfer_rejects_more_source_symbols_than_the_degree_field_holds():
         transfer(bytes(0x10000), SOFC(), 0.0, symbol_size=1)
     out, report = transfer(bytes(0xFFFF), SOFC(), 0.0, symbol_size=1)
     assert report.k == 0xFFFF and out == bytes(0xFFFF)
+
+
+@pytest.mark.parametrize("buf, got", [
+    (encode_feedback(FeedbackMsg(FeedbackKind.BETA_UPDATE, 3), 1), "FeedbackFrame"),
+    (encode_header(SessionHeader(1, 64, 1024, 65000)), "SessionHeader"),
+    # another session's frame of the wrong type fails the type check first
+    (encode_feedback(FeedbackMsg(FeedbackKind.BETA_UPDATE, 3), 2), "FeedbackFrame"),
+    (encode_header(SessionHeader(2, 64, 1024, 65000)), "SessionHeader"),
+])
+def test_link_type_check_names_the_frame_it_got_before_the_session(buf, got):
+    with pytest.raises(FrameError) as e:
+        _FramedLink(1).receive(buf)
+    assert e.value.code == "malformed-frame"
+    assert str(e.value) == f"malformed-frame: expected DataFrame, got {got}"
+
+
+def _reference_data_frame(indices, payload, session_id, seq_no):
+    import struct
+    import zlib
+
+    degree = len(indices)
+    body = struct.pack(
+        f">2sBBQQH{degree}IH", b"OF", 1, 0, session_id, seq_no, degree, *indices, len(payload),
+    ) + payload
+    return body + struct.pack(">I", zlib.crc32(body))
+
+
+def test_compiled_layouts_match_struct_pack_at_every_degree():
+    import fountain_lab.wire as wire
+
+    cap = wire._LAYOUT_CAP
+    degrees = [*range(1, cap + 11), 65535]
+    for degree in degrees:
+        indices = tuple(range(3, 3 + 2 * degree, 2))
+        payload = bytes([degree % 256]) * (degree % 7)
+        session_id, seq_no = 2**64 - degree, 3 * degree
+        buf = encode_data(CodedSymbol(indices, payload), session_id, seq_no)
+        assert buf == _reference_data_frame(indices, payload, session_id, seq_no), degree
+        frame = decode_frame(buf)
+        built = DataFrame(session_id, seq_no, indices, payload)
+        assert frame == built and hash(frame) == hash(built) and repr(frame) == repr(built)
+    assert 0 < len(wire._DATA_HEADS) <= cap and 0 < len(wire._INDICES) <= cap
+    # more degrees than the cap went through, so some were evicted
+    evicted = min(d for d in degrees if d not in wire._DATA_HEADS and d not in wire._INDICES)
+    indices = tuple(range(evicted))
+    buf = encode_data(CodedSymbol(indices, b"\x5a"), 9, 1)
+    assert buf == _reference_data_frame(indices, b"\x5a", 9, 1)
+    assert decode_frame(buf) == DataFrame(9, 1, indices, b"\x5a")
+
+
+@pytest.mark.parametrize("degree", [1, 2, 300])
+def test_trusted_data_frame_matches_a_constructor_built_one(degree):
+    import copy
+    import pickle
+
+    indices = tuple(range(0, 5 * degree, 5))
+    payload = bytes(range(degree % 200))
+    frame = decode_frame(encode_data(CodedSymbol(indices, payload), 4, 17))
+    built = DataFrame(4, 17, indices, payload)
+    assert type(frame) is DataFrame
+    assert list(vars(frame)) == list(vars(built)) == ["session_id", "seq_no", "indices", "payload"]
+    assert vars(frame) == vars(built)
+    assert dataclasses.replace(frame, seq_no=18) == dataclasses.replace(built, seq_no=18)
+    assert dataclasses.asdict(frame) == dataclasses.asdict(built)
+    restored = pickle.loads(pickle.dumps(frame))
+    assert type(restored) is DataFrame and restored == built and hash(restored) == hash(built)
+    assert copy.copy(frame) == built
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        frame.payload = b""

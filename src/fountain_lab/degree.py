@@ -151,15 +151,13 @@ def _table_degree(n: int, k: int) -> int:
     return degrees[bisect_right(starts, n) - 1]
 
 
-def _completion_table(k: int) -> tuple[list[int], list[float]]:
-    """``optimal_degree(n / k, k)`` and ``completion_prob(n, k)`` for n = 0..k-1 (k >= 2),
-    bit-equal: each run repeats :func:`useful_prob` term for term with its
-    degree's constants hoisted (``**`` is the C ``pow`` in both)."""
-    degrees = []
+def _completion_table(k: int) -> list[float]:
+    """``completion_prob(n, k)`` for n = 0..k-1 (k >= 2), bit-equal: each run
+    repeats :func:`useful_prob` term for term with its degree's constants
+    hoisted (``**`` is the C ``pow`` in both)."""
     probs = []
     append = probs.append
     for a, hi, m in _degree_runs(k):
-        degrees += [m] * (hi - a)
         # useful_prob(m, beta) = case1_prob + case2_prob
         e1 = m - 1
         e2 = m - 2
@@ -168,15 +166,16 @@ def _completion_table(k: int) -> tuple[list[int], list[float]]:
             beta = n / k
             x = 1.0 - beta
             append(m * beta ** e1 * x + c * beta ** e2 * x ** 2)
-    return degrees, probs
+    return probs
 
 
 def _optimal_degrees(k: int) -> array:
-    return array("q", _completion_table(k)[0])
+    """``optimal_degree(n / k, k)`` for n = 0..k-1, expanded from the runs of k."""
+    return array("q", [m for a, hi, m in zip(*_cached_runs(k, optimal_degree)) for _ in range(a, hi)])
 
 
 def _completion_probs(k: int) -> array:
-    return array("d", _completion_table(k)[1])
+    return array("d", _completion_table(k))
 
 
 def exact_case_probs(k: int, r: int, m: int) -> tuple[float, float]:

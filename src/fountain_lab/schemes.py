@@ -348,27 +348,17 @@ class Encoder:
         self._pool_from = _first_pool_degree(self.k)
         self.phase, self.current_m = _START[type(config)]
         self.known_recovered = 0
-        # Symbols sent in the phases left so far, and in the current one.
-        self._closed_sent: dict[str, int] = {}
-        self._sent_in_phase = 0
+        # Symbols sent so far, and (phase value, count at entry) per phase entered.
+        self._sent = 0
+        self._entries: list[tuple[str, int]] = [(self.phase.value, 0)]
 
     @property
     def phase_sent(self) -> dict[str, int]:
         """Symbols sent per phase, keyed by ``Phase.value`` in the order the
         phases first sent; a phase that sent nothing has no key."""
-        sent = dict(self._closed_sent)
-        if self._sent_in_phase:
-            sent[self.phase.value] = self._sent_in_phase
-        return sent
-
-    def _enter(self, phase: Phase) -> None:
-        """Move to ``phase``, closing the count of the phase left."""
-        if phase is self.phase:
-            return
-        if self._sent_in_phase:
-            self._closed_sent[self.phase.value] = self._sent_in_phase
-            self._sent_in_phase = 0
-        self.phase = phase
+        # A phase ends where the next one was entered; the current one, now.
+        ends = [at for _, at in self._entries[1:]] + [self._sent]
+        return {value: end - at for (value, at), end in zip(self._entries, ends) if end > at}
 
     def _sample(self, m: int) -> tuple[int, ...]:
         """``tuple(sorted(rng.sample(range(k), m)))``, drawn without its overhead.
@@ -426,24 +416,27 @@ class Encoder:
 
     def next_symbol(self) -> CodedSymbol:
         phase = self.phase
-        # SYSTEMATIC opens the session, so its count is the next index.
-        if phase is _SYSTEMATIC and self._sent_in_phase < self.k:
-            indices: tuple[int, ...] = (self._sent_in_phase,)
+        # SYSTEMATIC opens the session, so the running count is the next index.
+        if phase is _SYSTEMATIC and self._sent < self.k:
+            indices: tuple[int, ...] = (self._sent,)
         else:
             if phase is _DONE:
                 raise ProtocolError("session already complete")
             if phase is _SYSTEMATIC:
                 # All indexes sent and no feedback seen yet (tail frames erased
-                # or answer delayed): act on the pass's closing BETA_UPDATE with
-                # the stale recovery estimate.
-                self.on_feedback(FeedbackMsg(FeedbackKind.BETA_UPDATE, self.known_recovered))
+                # or answer delayed): act on the pass's closing BETA_UPDATE.
+                # SYSTEMATIC accepts only messages that leave it, so no
+                # recovered count has come back yet: it is 0.
+                self.on_feedback(FeedbackMsg(FeedbackKind.BETA_UPDATE, 0))
             indices = self._sample(self.current_m)
-        self._sent_in_phase += 1
+        self._sent += 1
         return CodedSymbol._trusted(indices, self.source.encode(indices) if self._carries_payloads else None)
 
     def on_feedback(self, msg: FeedbackMsg) -> None:
         phase, self.current_m = _step(self.config, self.phase, self.current_m, msg.kind, msg.recovered, self.k)
-        self._enter(phase)
+        if phase is not self.phase:
+            self.phase = phase
+            self._entries.append((phase.value, self._sent))
         # OFC's build-up is over; seeding needs no recovery estimate.
         if phase is not Phase.DEGREE1_SEEDING:
             self.known_recovered = msg.recovered

@@ -263,9 +263,6 @@ class _FramedLink:
             raise FrameError("wrong-session", f"{frame.session_id} != {self.session_id}")
         return frame
 
-    def _decode(self, buf: bytes, frame_type):
-        return self._check(decode_frame(buf), frame_type)
-
     def receive(self, buf: bytes) -> tuple[DataFrame, int]:
         frame = decode_frame(buf)
         if type(frame) is not DataFrame or frame.session_id != self.session_id:
@@ -273,7 +270,7 @@ class _FramedLink:
         return frame, frame.seq_no
 
     def feedback(self, msg: FeedbackMsg) -> FeedbackFrame:
-        return self._decode(encode_feedback(msg, self.session_id), FeedbackFrame)
+        return self._check(decode_frame(encode_feedback(msg, self.session_id)), FeedbackFrame)
 
 
 @dataclass
@@ -346,7 +343,8 @@ def transfer(
     link = _FramedLink(session_id)
     # Handshake: the header rides the lossless control path but still counts
     # as one transmitted frame.
-    link._decode(encode_header(SessionHeader(session_id, source.k, symbol_size, len(data))), SessionHeader)
+    header = encode_header(SessionHeader(session_id, source.k, symbol_size, len(data)))
+    link._check(decode_frame(header), SessionHeader)
     header_attempts = 1
     result, enc, rcv = _drive(config, source, eps, policy, seed, trial_id, budget, link, sent=header_attempts)
 

@@ -5,7 +5,8 @@ checkouts can be compared for identical behaviour on valid and invalid
 input alike:
 
 * ``sessions``: ``run_session`` reprs over configs x k x eps x feedback
-  delay x policy x payload mode, and a few k = 20000 sessions;
+  delay x policy x payload mode, each counting-mode one with its
+  encoder's ``phase_sent`` items, and a few k = 20000 sessions;
 * ``transfer``: ``transfer`` output digests and reports (or the error
   raised) over configs x symbol sizes x eps x input lengths;
 * ``frames``: every data, feedback and header frame those transfers send,
@@ -18,7 +19,7 @@ input alike:
 
 Run it against the checkout whose package is on the path::
 
-    PYTHONPATH=src python tests/fingerprint.py            # about 12 s on 2 vCPUs
+    PYTHONPATH=src python tests/fingerprint.py            # about 10 s on 2 vCPUs
     PYTHONPATH=src python tests/fingerprint.py --quick    # a subset, under 1 s
 
 and against another checkout with ``PYTHONPATH=<checkout>/src``.  Pytest
@@ -39,8 +40,9 @@ import zlib
 from contextlib import contextmanager
 
 import fountain_lab
-from fountain_lab import cli, wire
+from fountain_lab import cli, sim, wire
 from fountain_lab.analytics import expected_curve
+from fountain_lab.graph import SourceBlock
 from fountain_lab.schemes import OFC, OFCNB, SOFC, EveryDegreeChange, FeedbackKind, Threshold
 from fountain_lab.sim import aggregate_csv, monte_carlo, run_session, summary_json, sweep_epsilon
 
@@ -73,6 +75,15 @@ class Digests:
             self.add(family, repr(result))
 
 
+def counted_session(config, k, eps, policy, seed, trial_id, feedback_delay):
+    """A counting-mode ``run_session`` result and its encoder's ``phase_sent`` items."""
+    result, enc, _ = sim._drive(
+        config, SourceBlock(k, (b"",) * k), eps, policy, seed, trial_id, None, sim._ObjectLink(),
+        feedback_delay=feedback_delay,
+    )
+    return result, tuple(enc.phase_sent.items())
+
+
 def sessions(d: Digests, quick: bool) -> None:
     configs = [OFC(), OFCNB(0.01), OFCNB(0.3), SOFC()]
     if not quick:
@@ -86,11 +97,11 @@ def sessions(d: Digests, quick: bool) -> None:
             for eps in epss:
                 for delay in (0, 3):
                     for policy in policies:
-                        for mode in ("counting", "full"):
-                            d.outcome(
-                                "sessions", run_session, config, k, eps, policy,
-                                seed=k + delay, trial_id=1, payload_mode=mode, feedback_delay=delay,
-                            )
+                        d.outcome("sessions", counted_session, config, k, eps, policy, k + delay, 1, delay)
+                        d.outcome(
+                            "sessions", run_session, config, k, eps, policy,
+                            seed=k + delay, trial_id=1, payload_mode="full", feedback_delay=delay,
+                        )
     if not quick:
         for config in (OFC(), OFCNB(0.01), SOFC()):
             d.outcome("sessions", run_session, config, 20000, 0.1, seed=1)

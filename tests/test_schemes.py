@@ -6,6 +6,7 @@ import warnings
 
 import pytest
 
+import fountain_lab.degree as degree
 import fountain_lab.schemes as schemes
 from fountain_lab.channel import ErasureChannel
 from fountain_lab.degree import optimal_degree, useful_prob
@@ -462,6 +463,17 @@ def test_phase_sent_counts_across_self_entered_completion_and_updates():
     with pytest.raises(ProtocolError):
         enc.on_feedback(FeedbackMsg(LCR, 3))
     assert list(enc.phase_sent.items()) == [("systematic", 5), ("completion", 2)]
+
+
+def test_sofc_entering_completion_by_itself_takes_the_degree_at_none_recovered():
+    # no feedback came back during the pass, so no recovered count is known
+    k = 20
+    enc = make_encoder(SOFC(), k=k)
+    for _ in range(k):
+        enc.next_symbol()
+    sym = enc.next_symbol()
+    assert (enc.phase, enc.known_recovered) == (Phase.COMPLETION, 0)
+    assert enc.current_m == len(sym.indices) == degree._table_degree(0, k) == 2
 
 
 def test_phase_sent_is_a_read_only_snapshot():

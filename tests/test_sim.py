@@ -299,6 +299,27 @@ def test_golden_encoder_phase_sent(scheme, k, delay, eps):
     assert got == GOLDEN_PHASE_SENT[scheme, k, delay, eps]
 
 
+@pytest.mark.parametrize("policy", [EveryDegreeChange(), Threshold()], ids=["every", "threshold"])
+@pytest.mark.parametrize("config", [OFC(), OFCNB(0.01), OFCNB(0.3), SOFC()], ids=repr)
+def test_phase_sent_adds_up_to_what_was_sent(config, policy):
+    # each symbol counts in exactly one phase, and phases only move forward
+    order = [B, D, S, C]
+    k = 200
+    for eps in (0.0, 0.1, 0.5):
+        for delay in (0, 3):
+            result, enc, _ = _drive(
+                config, SourceBlock(k, (b"",) * k), eps, policy,
+                7, 0, None, _ObjectLink(), feedback_delay=delay,
+            )
+            sent = enc.phase_sent
+            assert sum(sent.values()) == result.sent_total, (eps, delay)
+            keys = [order.index(key) for key in sent]
+            assert keys == sorted(set(keys)), (eps, delay, sent)
+        data = bytes(range(256)) * 12
+        _, report = transfer(data, config, eps, seed=7, symbol_size=16, policy=policy)
+        assert sum(report.per_phase_sent.values()) == report.frames_sent - report.header_attempts, eps
+
+
 def test_ofc_dead_zone():
     firsts = []
     for t in range(40):

@@ -15,6 +15,8 @@ full recovery (motivating the threshold policy of demo 3).
 ================================================================================
 """
 
+import math
+
 import numpy as np
 
 from fountain_lab import exact_case_probs, optimal_degree, useful_prob
@@ -27,18 +29,20 @@ for m in range(1, 9):
     row = "".join(f"{useful_prob(m, b):>8.3f}" for b in betas)
     print(f"  {m:>3d}   {row}")
 
-print("\n--- the optimal degree as recovery progresses ---")
-prev = None
-for i in range(100):
-    beta = i / 100
-    m = optimal_degree(beta)
-    if m != prev:
-        print(f"  beta >= {beta:.2f}: degree {m}  (usable prob {useful_prob(m, beta):.3f})")
-        prev = m
+print("\n--- where the optimal degree steps up ---")
+# with x = 1 - beta, degree m+1 is at least as usable as m exactly when
+# (m+1)(m-2)x^2 + 4x - 2 <= 0; its root gives the switch point beta_m
+print("  beta_m = 1 - 2/(2 + sqrt(2m(m-1))), and the degree just below and above it")
+print("   m   beta_m   below / above   1.41/(1-beta_m)")
+for m in range(2, 11):
+    beta_m = 1.0 - 2.0 / (2.0 + math.sqrt(2 * m * (m - 1)))
+    below, above = optimal_degree(beta_m - 1e-9), optimal_degree(beta_m + 1e-9)
+    print(f"  {m:>2d}  {beta_m:.5f}   {below:>5d} / {above:<5d}  {math.sqrt(2) / (1 - beta_m):>8.2f}")
 
-print("\nNote the pattern: degree 2 all the way to beta = 0.5, then steps up")
-print("roughly like 1.41/(1-beta).  Every step is one feedback message under")
-print("the update-on-every-change policy; near beta = 1 the steps crowd together.")
+print("\nNote the pattern: degree 2 all the way to beta = 0.5, then one step")
+print("up at each beta_m ~ 1 - sqrt(2)/m, so the degree grows roughly like")
+print("1.41/(1-beta).  Every step is one feedback message under the")
+print("update-on-every-change policy; near beta = 1 the steps crowd together.")
 
 steps = sum(
     optimal_degree((n + 1) / 1000, 1000) != optimal_degree(n / 1000, 1000)

@@ -97,9 +97,12 @@ def _degree_runs(k: int):
     """Yield (first n, end, degree) for each run of equal ``optimal_degree(n / k, k)``
     over n = 0..k-1: 73 runs at k = 1000, 150 at 4096 and 750 at 1e5.
 
-    From a run's first n, :func:`_degree_at` gallops, then bisects, to the
-    first n of another degree, so the runs cost O(runs * log k) square roots,
-    not k.  The search needs the degree to never decrease in n, which holds:
+    Degree m gives way to a larger one at beta_m = 1 - 2 / (2 + sqrt(2m(m - 1))),
+    the root of (m + 1)(m - 2)x^2 + 4x - 2 in :func:`optimal_degree`.  A run of
+    degree m from a ends near ceil(k * beta_m); :func:`_degree_at` walks that
+    float guess up, then down, to the exact end, within one n in practice: at
+    most three calls a run.  Exactness needs only that the degree never
+    decreases in n, which holds:
 
     * the exact root rises strictly in beta, and float noise in it is about
       1e-15 relative, far below :func:`optimal_degree`'s 1e-6 tie window, so
@@ -108,32 +111,19 @@ def _degree_runs(k: int):
       two degrees.  Their exact difference changes sign once, at the tie,
       with slope 0.486 to 1 in beta at every tie, so rounding can misplace
       that sign change by about 1e-15 in beta: never past a neighbouring n
-      while k < 1e14.  So an n inside a window needs no call of its own,
-      although a window spans several n wherever d root/dn < 1e-6 (near
-      beta = 0, where every n gets degree 2, and for k above about 5e6 at
-      the first step, beta = 1/2, where d root/dn is 5.3/k).
+      while k < 1e14, even where a window spans several n, d root/dn < 1e-6
+      (near beta = 0, where every n gets degree 2, and for k above about
+      5e6 at the first step, beta = 1/2, where d root/dn is 5.3/k).
     """
     a = 0
     m = d = _degree_at(0, k)
     while a < k:
-        # _degree_at(lo) == m; hi is k or the first n found of another degree
-        lo, step = a, 1
-        while True:
-            hi = lo + step
-            if hi >= k:
-                hi = k
-                break
-            d = _degree_at(hi, k)
-            if d != m:
-                break
-            lo, step = hi, 2 * step
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            d_mid = _degree_at(mid, k)
-            if d_mid == m:
-                lo = mid
-            else:
-                hi, d = mid, d_mid
+        beta_m = 1.0 - 2.0 / (2.0 + math.sqrt(2 * m * (m - 1)))
+        hi = min(max(a + 1, math.ceil(k * beta_m)), k)
+        while hi < k and (d := _degree_at(hi, k)) == m:
+            hi += 1
+        while hi - 1 > a and (e := _degree_at(hi - 1, k)) != m:
+            hi, d = hi - 1, e
         yield a, hi, m
         a, m = hi, d
 

@@ -15,7 +15,9 @@ input alike:
 * ``monte_carlo``: ``aggregate_csv`` and ``summary_json`` at jobs 1 and 2;
 * ``sweep``: ``sweep_epsilon`` results at jobs 1 and 2;
 * ``curves``: ``expected_curve`` bytes (or the error raised);
-* ``predict``: ``fountain-lab predict`` CSVs and exit codes.
+* ``predict``: ``fountain-lab predict`` CSVs and exit codes;
+* ``runs``: ``degree._degree_runs`` tuples, the completion table's runs of
+  equal degree, for k = 2..400 and a dozen k up to 25200000 (0.1 s).
 
 Run it against the checkout whose package is on the path::
 
@@ -40,13 +42,13 @@ import zlib
 from contextlib import contextmanager
 
 import fountain_lab
-from fountain_lab import cli, sim, wire
+from fountain_lab import cli, degree, sim, wire
 from fountain_lab.analytics import expected_curve
 from fountain_lab.graph import SourceBlock
 from fountain_lab.schemes import OFC, OFCNB, SOFC, EveryDegreeChange, FeedbackKind, Threshold
 from fountain_lab.sim import aggregate_csv, monte_carlo, run_session, summary_json, sweep_epsilon
 
-FAMILIES = ("sessions", "transfer", "frames", "monte_carlo", "sweep", "curves", "predict")
+FAMILIES = ("sessions", "transfer", "frames", "monte_carlo", "sweep", "curves", "predict", "runs")
 # The errors the package documents for its calls: ValueError (FrameError
 # among them), TransferFailed (a RuntimeError) and PayloadMismatch (an
 # AssertionError).  A record holds the error in place of the result.
@@ -236,6 +238,14 @@ def predicts(d: Digests, quick: bool) -> None:
                     os.remove(out)
 
 
+def degree_runs(d: Digests, quick: bool) -> None:
+    ks = [*range(2, 401), 1000, 1024, 4096, 25_200, 100_000]
+    if not quick:
+        ks += [252_000, 1_000_000, 10_000_000, 25_200_000]
+    for k in ks:
+        d.add("runs", repr(tuple(degree._degree_runs(k))))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--quick", action="store_true", help="run a subset in seconds")
@@ -251,6 +261,7 @@ def main(argv: list[str] | None = None) -> int:
         aggregates(d, quick)
         curves(d, quick)
         predicts(d, quick)
+        degree_runs(d, quick)
     for name in FAMILIES:
         print(f"{name:12} {d.counts[name]:6d} {d.hashes[name].hexdigest()}")
     print(f"done in {time.perf_counter() - start:.1f} s", file=sys.stderr)

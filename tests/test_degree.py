@@ -212,3 +212,30 @@ def test_degree_table_lookup_matches_optimal_degree():
     for n in range(1000):
         for k in (1000, 1024):
             assert degree._table_degree(n, k) == optimal_degree(n / k, k), (n, k)
+
+
+def test_degree_table_runs_end_exactly_at_large_k(monkeypatch):
+    # from about k = 5e6 the tie window at beta = 1/2 spans several n, so the
+    # closed-form guess at each run's end must be walked to the exact n
+    rng = random.Random(36)
+    for k in [5_300_002, 10_000_000, 25_200_000] + [rng.randrange(10**6, 10**8) for _ in range(3)]:
+        end = 0
+        for a, hi, m in degree._degree_runs(k):
+            assert a == end < hi <= k, (k, a, hi)
+            assert optimal_degree(a / k, k) == m == optimal_degree((hi - 1) / k, k), (k, a, hi)
+            assert hi == k or optimal_degree(hi / k, k) != m, (k, hi)
+            end = hi
+        assert end == k
+    # each end is placed by the closed form and checked, not searched for
+    calls = []
+    degree_at = degree._degree_at
+
+    def counting(n, k):
+        calls.append(n)
+        return degree_at(n, k)
+
+    monkeypatch.setattr(degree, "_degree_at", counting)
+    for k in (1000, 100_000, 10_000_000):
+        calls.clear()
+        runs = sum(1 for _ in degree._degree_runs(k))
+        assert len(calls) <= 3 * runs, (k, len(calls), runs)

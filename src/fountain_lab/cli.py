@@ -30,10 +30,6 @@ SWEEP_HEADER = "eps,sofc_mean_sent,ofc_mean_sent,diff"
 COMPARE_HEADER = "s,sent_mean,expected_n,rel_err"
 
 
-class UsageError(Exception):
-    pass
-
-
 def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -43,22 +39,22 @@ def _seed(args) -> int:
     try:
         return int(env)
     except ValueError:
-        raise UsageError(f"FOUNTAIN_LAB_SEED must be an integer, got {env!r}") from None
+        raise ValueError(f"FOUNTAIN_LAB_SEED must be an integer, got {env!r}") from None
 
 
 def _scheme(args) -> SchemeConfig:
     name = args.scheme
     beta0 = getattr(args, "beta0", None)   # only simulate has --beta0
     if beta0 is not None and name != "ofc":
-        raise UsageError(f"--beta0 is not valid with --scheme {name}")
+        raise ValueError(f"--beta0 is not valid with --scheme {name}")
     if getattr(args, "delta_p", None) is not None and args.policy != "threshold":
-        raise UsageError(f"--delta-p is not valid with --policy {args.policy}")
+        raise ValueError(f"--delta-p is not valid with --policy {args.policy}")
     if name == "ofcnb":
         if args.gamma0 is None:
-            raise UsageError("--gamma0 is required with --scheme ofcnb")
+            raise ValueError("--gamma0 is required with --scheme ofcnb")
         return OFCNB(args.gamma0)
     if args.gamma0 is not None:
-        raise UsageError(f"--gamma0 is not valid with --scheme {name}")
+        raise ValueError(f"--gamma0 is not valid with --scheme {name}")
     if name == "sofc":
         return SOFC()
     return OFC() if beta0 is None else OFC(beta0)
@@ -140,7 +136,7 @@ def cmd_sweep(args) -> int:
 
     grid = [float(x) for x in args.eps_list.split(",") if x]
     if not grid:
-        raise UsageError("--eps-list must name at least one erasure rate")
+        raise ValueError("--eps-list must name at least one erasure rate")
     result = sim.sweep_epsilon(args.k, grid, args.trials, seed=_seed(args), jobs=args.jobs)
     rows = [SWEEP_HEADER]
     for p in result.points:
@@ -249,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -168,17 +168,15 @@ _TAIL = 32
 def _first_pool_degree(k: int) -> int:
     """The least m for which ``random.sample(range(k), m)`` shuffles a pool.
 
-    CPython takes its pool branch iff ``k <= setsize`` with ``setsize = 21``,
-    plus ``4 ** ceil(log4(3m))`` for ``m > 5``: the expression below, which
-    grows with m and reaches k by ``m = k``.
+    CPython pools iff ``k <= 21``, or ``m > 5`` and ``k - 21 <= 4 ** c`` with
+    ``c = ceil(log4(3m))``.  With ``4 ** e`` the least power of 4 not below
+    ``k - 21``, the latter holds iff ``c >= e``, iff ``3m > 4 ** (e - 1)``.
+    CPython's float ``log(3m, 4)`` has the exact ceiling for ``m < 2**31``: 3m
+    is never a power of 4, so ``log4(3m)`` is over 1.6e-10 from any integer,
+    far above the float error of about 1e-14.
     """
-    def pooled(m: int) -> bool:
-        setsize = 21
-        if m > 5:
-            setsize += 4 ** math.ceil(math.log(m * 3, 4))
-        return k <= setsize
-
-    return bisect_left(range(1, k + 1), True, key=pooled) + 1
+    e = ((k - 22).bit_length() + 1) // 2
+    return 1 if k <= 21 else max(6, 4 ** e // 12 + 1)
 
 
 def _words(getrandbits, n: int) -> np.ndarray:

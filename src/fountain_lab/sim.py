@@ -156,14 +156,14 @@ def _drive(
 
     trace: list[TracePoint] = []
     pending: deque[tuple[int, FeedbackMsg]] = deque()   # (deliverable_at_sent, msg)
-    received = slot = recovered = 0
+    received = recovered = 0
     fb_at_08 = None
     threshold_08 = math.ceil(0.8 * k)
     graph = rcv.graph
     next_symbol, deliver, receive = enc.next_symbol, chan.deliver, rcv.receive
     link_send, link_receive = link.send, link.receive
     point = tuple.__new__      # a TracePoint from all four fields in order
-    while sent < budget:
+    for slot in range(budget - sent):
         while pending and pending[0][0] <= sent:
             enc.on_feedback(pending.popleft()[1])
         if enc.phase is Phase.DONE:
@@ -172,10 +172,8 @@ def _drive(
         # drawn without this one alive: near completion at large k a symbol
         # holds tens of thousands of indices.
         carried = link_send(next_symbol(), slot)
-        delivered = deliver(slot)
-        slot += 1
         sent += 1
-        if not delivered:
+        if not deliver(slot):
             del carried
             continue
         received += 1

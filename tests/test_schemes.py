@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 import struct
 import tracemalloc
@@ -602,6 +603,27 @@ def test_sampler_set_or_pool_decision_at_set_size_steps(monkeypatch, k, m):
         assert enc._sample(m) == tuple(sorted(ref.sample(range(k), m)))
     assert enc.rng.getstate() == ref.getstate()
     assert pooled == ([m] * 3 if k <= _SET_SIZE[m] else [])
+
+
+def _cpython_pools(k, m):
+    # random.sample(range(k), m)'s own rule, as Lib/random.py writes it
+    setsize = 21
+    if m > 5:
+        setsize += 4 ** math.ceil(math.log(m * 3, 4))
+    return k <= setsize
+
+
+def test_sampler_first_pool_degree_matches_cpython_set_size_rule():
+    # the set size never shrinks as m grows, so the least pooling m is the
+    # one that pools while the m before it does not
+    near_steps = [21 + 4**j + d for j in range(21) for d in range(-3, 4)]
+    for k in [*range(2, 20001), *near_steps, 100000]:
+        first = schemes._first_pool_degree(k)
+        assert 1 <= first <= k
+        assert _cpython_pools(k, first), k
+        assert first == 1 or not _cpython_pools(k, first - 1), k
+    # the four benchmark workloads' k
+    assert [schemes._first_pool_degree(k) for k in (1000, 1024, 4096, 100000)] == [86, 86, 342, 21846]
 
 
 def test_receiver_sofc_without_seq_reads_the_pass_end_from_the_symbol():

@@ -124,7 +124,9 @@ def cmd_compare(args) -> int:
         rel = abs(mean - ana) / ana
         rows.append(f"{int(s)},{mean:.6f},{ana:.6f},{rel:.6f}")
     _write(args.out, "\n".join(rows) + "\n")
-    _write(_sidecar(args.out), json.dumps(report, indent=2, sort_keys=True) + "\n")
+    # JSON has no NaN: an error with no milestone in the band is written as null
+    sidecar = {key: None if math.isnan(value) else value for key, value in report.items()}
+    _write(_sidecar(args.out), json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
     print(f"max_rel_err={report['max_rel_err']:.4f} mean_rel_err={report['mean_rel_err']:.4f}")
     return _budget_exit(agg)
 

@@ -243,14 +243,11 @@ class DecodeGraph:
         return max(self.component_histogram(), default=0)
 
     def component_histogram(self) -> dict[int, int]:
-        """Map component size -> number of white components of that size."""
-        roots = {}
-        for node in range(self.k):
-            if not self.color[node]:
-                root = self.find(node)
-                roots[root] = self._size[root]
-        hist: Counter = Counter(roots.values())
-        return dict(hist)
+        """Map component size -> number of white components of that size.
+
+        Peeling blackens whole components, so each white one has one white root: no ``find``, no writes."""
+        nodes = zip(self._parent, self._size, self.color)
+        return dict(Counter(size for parent, size, black in nodes if parent < 0 and not black))
 
     # -- symbol handling ---------------------------------------------------
 

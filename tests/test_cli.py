@@ -116,6 +116,20 @@ def test_compare_reports_error_band(tmp_path):
     assert out.read_text().splitlines()[0] == "s,sent_mean,expected_n,rel_err"
 
 
+def test_compare_sidecar_is_strict_json_when_no_milestone_is_in_the_band(tmp_path, capsys):
+    # at eps 0.99 no trial reaches a milestone, so both errors are NaN
+    out = tmp_path / "cmp.csv"
+    assert run("compare", "--scheme", "ofc", "--k", "200", "--eps", "0.99", "--trials", "2",
+               "--seed", "1", "--out", str(out)) == 3
+    assert capsys.readouterr().out == "max_rel_err=nan mean_rel_err=nan\n"
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    report = json.loads((tmp_path / "cmp.json").read_text(), parse_constant=reject)
+    assert report == {"max_rel_err": None, "mean_rel_err": None, "n_points": 0}
+
+
 def test_sweep_sign_pattern(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run("sweep", "--k", "200", "--eps-list", "0.1,0.5", "--trials", "8",

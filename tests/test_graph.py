@@ -194,6 +194,16 @@ def test_beta_and_histogram():
     assert g.component_histogram() == {1: 5}
 
 
+def test_component_histogram_leaves_the_union_find_untouched():
+    g = DecodeGraph(6, track_values=False)
+    for a, b in ((0, 1), (2, 3), (1, 3)):
+        g.apply_case2(a, b, None)
+    assert g._parent == [-1, 0, 0, 2, -1, -1]    # node 3 still points at 2, not the root 0
+    assert g.component_histogram() == {4: 1, 1: 2}
+    assert g.largest_white_component() == 4
+    assert g._parent == [-1, 0, 0, 2, -1, -1]
+
+
 def test_largest_component_theta_k_past_transition():
     # 600 random degree-2 receptions at k=1000 lie past the c=1 transition
     rng = random.Random(7)
